@@ -59,7 +59,11 @@ class EvaluationCode:
         self.generator_rows = evaluation_matrix(X, self.standard_monomials)
         self.k = len(self.standard_monomials)
         self.n = len(X)
-        assert matrix_rank(self.generator_rows, self.q) == self.k
+        rank = matrix_rank(self.generator_rows, self.q)
+        if rank != self.k:
+            raise RuntimeError(
+                f"{self.k} standard monomials of degree {d} evaluate to rank {rank}"
+            )
 
     @property
     def q(self) -> int:
@@ -206,7 +210,8 @@ def rghw_bruteforce(
         m = int(supports.min())
         if best is None or m < best:
             best = m
-    assert best is not None, "no feasible subspace despite r <= k - k1"
+    if best is None:
+        raise RuntimeError(f"no feasible subspace despite r = {r} <= k - k1")
     return best
 
 

@@ -4,7 +4,7 @@ intersections, and colon ideals."""
 
 from __future__ import annotations
 
-from .monideal import MonomialIdeal, monomial_quotient_degree
+from .monideal import GradedQuotientSummary, MonomialIdeal, monomial_quotient_degree
 from .polyring import (
     GREVLEX,
     EliminateLastOrder,
@@ -119,7 +119,9 @@ def reduced_basis(basis, order: MonomialOrder = GREVLEX) -> list[Polynomial]:
 
 
 class Ideal:
-    """An ideal of a PolyRing with a cached reduced Groebner basis."""
+    """An ideal of a PolyRing.  Built once and never changed, so its reduced
+    Groebner basis, initial ideal and Hilbert summary are each computed at
+    most once."""
 
     def __init__(self, ring: PolyRing, gens, order: MonomialOrder = GREVLEX):
         self.ring = ring
@@ -134,6 +136,26 @@ class Ideal:
                 clean.append(g)
         self.gens = tuple(clean)
         self._gb: list[Polynomial] | None = None
+        self._initial: MonomialIdeal | None = None
+        self._summary: GradedQuotientSummary | None = None
+
+    @classmethod
+    def _from_reduced_basis(
+        cls,
+        ring: PolyRing,
+        basis: list[Polynomial],
+        order: MonomialOrder,
+        initial: MonomialIdeal,
+        summary: GradedQuotientSummary,
+    ) -> "Ideal":
+        """An ideal whose reduced Groebner basis (sorted by leading
+        monomial), initial ideal and Hilbert summary the caller has already
+        certified; nothing is recomputed."""
+        ideal = cls(ring, basis, order)
+        ideal._gb = list(basis)
+        ideal._initial = initial
+        ideal._summary = summary
+        return ideal
 
     def groebner_basis(self) -> list[Polynomial]:
         if self._gb is None:
@@ -157,10 +179,12 @@ class Ideal:
         return all(g.is_homogeneous() for g in self.gens)
 
     def initial_ideal(self) -> MonomialIdeal:
-        return MonomialIdeal(
-            self.ring.nvars,
-            [g.leading_monomial(self.order) for g in self.groebner_basis()],
-        )
+        if self._initial is None:
+            self._initial = MonomialIdeal(
+                self.ring.nvars,
+                [g.leading_monomial(self.order) for g in self.groebner_basis()],
+            )
+        return self._initial
 
     def footprint_slice(self, d: int) -> list[Monomial]:
         """Standard monomials of degree d; their classes are a basis of the
@@ -170,8 +194,10 @@ class Ideal:
     def hilbert_function(self, d: int) -> int:
         return len(self.footprint_slice(d))
 
-    def quotient_summary(self):
-        return monomial_quotient_degree(self.initial_ideal())
+    def quotient_summary(self) -> GradedQuotientSummary:
+        if self._summary is None:
+            self._summary = monomial_quotient_degree(self.initial_ideal())
+        return self._summary
 
     def degree(self) -> int:
         return self.quotient_summary().degree

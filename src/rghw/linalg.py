@@ -25,13 +25,13 @@ def rref(matrix, q: int):
     """Reduced row echelon form over F_q.
 
     Returns (R, pivots) where R has the same shape as the input and pivots
-    lists the pivot column of each nonzero row in order.
+    lists the pivot column of each nonzero row in order.  q must be prime:
+    each pivot is inverted as v^(q-2) by Fermat's little theorem.
     """
     R = np.array(matrix, dtype=np.int64) % q
     if R.ndim != 2:
         raise ValueError(f"expected a 2-dimensional array, got shape {R.shape}")
     nrows, ncols = R.shape
-    inv = inverse_table(q)
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
@@ -43,7 +43,7 @@ def rref(matrix, q: int):
         src = row + int(nz[0])
         if src != row:
             R[[row, src]] = R[[src, row]]
-        R[row] = R[row] * inv[R[row, col]] % q
+        R[row] = R[row] * pow(int(R[row, col]), q - 2, q) % q
         others = R[:, col].copy()
         others[row] = 0
         R -= np.outer(others, R[row])
@@ -84,8 +84,10 @@ def gaussian_binomial(k: int, r: int, q: int) -> int:
     for i in range(r):
         num *= q ** (k - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
-    return num // den
+    quotient, rest = divmod(num, den)
+    if rest:
+        raise RuntimeError(f"Gaussian binomial [{k} {r}]_{q} is not an integer")
+    return quotient
 
 
 def all_vectors(n: int, q: int) -> np.ndarray:

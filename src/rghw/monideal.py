@@ -21,10 +21,12 @@ class GradedQuotientSummary:
     """Hilbert data of S/J.
 
     hilbert_values collects H(0), H(1), ... through the point where the
-    function provably stabilizes (dimension one) or reaches zero (dimension
-    zero).  degree is the total count of standard monomials in dimension
-    zero and the stable value in dimension one.  reg_index is the least d
-    from which H is constant, or None in dimension zero.
+    function provably stabilizes (dimension one: through D+1, where D sums
+    over the variables the largest exponent any generator gives it; see
+    monomial_quotient_degree) or reaches zero (dimension zero).  degree is
+    the total count of standard monomials in dimension zero and the stable
+    value in dimension one.  reg_index is the least d from which H is
+    constant, or None in dimension zero.
     """
 
     hilbert_values: tuple[int, ...]
@@ -193,9 +195,14 @@ def monomial_quotient_degree(ideal: MonomialIdeal, extra=()) -> GradedQuotientSu
 
     In dimension zero the Hilbert function is summed until it reaches zero
     (the standard monomials form a finite down-set).  In dimension one it is
-    evaluated through D*+1 where D* is the sum of the generator degrees; the
-    Taylor resolution bounds the regularity by D*-1, so the function is
-    constant from there on and the last two values must agree.
+    evaluated through D+1, where D = sum_j max_j and max_j is the largest
+    exponent of variable j among the generators (the exponent box).  A
+    standard monomial with two coordinates at or above their box maxima
+    would span a standard 2-dimensional cone, so in dimension one every
+    standard monomial has at most one such coordinate, and every standard
+    monomial of degree at least D - nvars + 1 has exactly one: it lies on a
+    ray of FootprintRays.  H is therefore the ray count from D - nvars + 1
+    on, and the last two values must agree.
     """
     extra = tuple(extra)
     if extra:
@@ -217,11 +224,18 @@ def monomial_quotient_degree(ideal: MonomialIdeal, extra=()) -> GradedQuotientSu
                 break
             d += 1
         return GradedQuotientSummary(tuple(values), 0, sum(values), None)
-    dstar = max(sum(g.degree for g in ideal.gens), 0)
-    values = [ideal.hilbert_function(d) for d in range(dstar + 2)]
-    assert values[dstar] == values[dstar + 1], "stabilization certificate failed"
-    degree = values[dstar]
-    reg = dstar
+    box = sum(
+        max((g.exponents[j] for g in ideal.gens), default=0)
+        for j in range(ideal.nvars)
+    )
+    values = [ideal.hilbert_function(d) for d in range(box + 2)]
+    if values[box] != values[box + 1]:
+        raise RuntimeError(
+            f"Hilbert function not stable past the exponent box of {ideal}: "
+            f"H({box}) = {values[box]}, H({box + 1}) = {values[box + 1]}"
+        )
+    degree = values[box]
+    reg = box
     while reg > 0 and values[reg - 1] == degree:
         reg -= 1
     return GradedQuotientSummary(tuple(values), 1, degree, reg)
@@ -268,10 +282,13 @@ class FootprintRays:
                 if all(
                     any(g[j] > cell[j] for j in range(nv) if j != i) for g in gens
                 ):
-                    boundary = any(
+                    if any(
                         cell[j] == self.max_exponents[j] for j in range(nv) if j != i
-                    )
-                    assert not boundary, "escaping ray on the box boundary in dim <= 1"
+                    ):
+                        raise RuntimeError(
+                            f"escaping ray {cell} along t{i + 1} on the box "
+                            f"boundary of {ideal}, impossible in dim <= 1"
+                        )
                     self.ray_cells.append((i, cell))
         # witness cells: standard monomials inside the box; a witness for
         # (J:(M)) != J is standard and lands in J after every multiplier in M,

@@ -10,7 +10,8 @@ import numpy as np
 
 from .field import FieldElement, PrimeField
 from .groebner import Ideal
-from .linalg import kernel_basis, matrix_rank
+from .linalg import rref
+from .monideal import MonomialIdeal, monomial_quotient_degree
 from .polyring import GREVLEX, Monomial, MonomialOrder, PolyRing, Polynomial
 
 
@@ -238,39 +239,70 @@ def evaluation_matrix(X: ProjectivePointSet, basis) -> np.ndarray:
 
 
 def vanishing_ideal(X: ProjectivePointSet, order: MonomialOrder = GREVLEX) -> Ideal:
-    """The ideal of all homogeneous polynomials vanishing on X.
+    """The ideal of all homogeneous polynomials vanishing on X, with its
+    reduced Groebner basis, by graded linear algebra (the projective
+    Buchberger-Moeller method of Marinari, Moeller and Mora).
 
-    Found degree by degree: the kernel of the evaluation matrix on degree-d
-    monomials supplies new generators; generation stops one degree past the
-    first d whose evaluation matrix has rank |X|, which bounds the largest
-    generator degree for these one-dimensional ideals.  The stated degree
-    and rank identities are asserted on the result.
+    In each degree d the evaluation matrix has one column per monomial, in
+    increasing order.  Its RREF has the standard monomials as pivot columns;
+    a free column m is a leading monomial of I_X, and when no earlier
+    leading monomial divides m, the kernel vector m - sum R[i, m] * pivot_i
+    is the monic, tail-reduced basis element with leading monomial m.
+
+    Degrees are added until the monomial ideal L of the leading monomials
+    found so far certifies itself: dim S/L <= 1, deg S/L = |X|, and the
+    regularity index of S/L is the first degree where the evaluation rank
+    is |X|.  Since L is inside in(I_X) and agrees with it in every degree
+    scanned, equal Hilbert functions make L = in(I_X).  By Gotzmann
+    persistence in(I_X) has no generator above degree |X|, so the
+    certificate must hold by then; failing it raises RuntimeError.
     """
     ring = PolyRing(X.field, X.s)
     field = X.field
-    gens: list[Polynomial] = []
-    ideal = Ideal(ring, [], order)
-    d = -1
+    n = len(X)
+    basis: list[Polynomial] = []
+    leads: list[Monomial] = []
     rank_reached = None
+    d = -1
     while True:
         d += 1
-        monomials = ring.monomials_of_degree(d)
-        rows = evaluation_matrix(X, monomials)
-        for vec in kernel_basis(rows.T, field.q):
-            poly = ring.from_terms(
-                {m: field(int(c)) for m, c in zip(monomials, vec)}
-            )
-            if not ideal.normal_form(poly).is_zero():
-                gens.append(poly)
-                ideal = Ideal(ring, gens, order)
-        if rank_reached is None and matrix_rank(rows, field.q) == len(X):
+        monomials = order.sorted(ring.monomials_of_degree(d))
+        R, pivots = rref(evaluation_matrix(X, monomials).T, field.q)
+        if rank_reached is None and len(pivots) == n:
             rank_reached = d
-        if rank_reached is not None and d >= rank_reached + 1:
-            break
-    summary = ideal.quotient_summary()
-    assert summary.degree == len(X), "vanishing ideal degree != point count"
-    assert summary.reg_index == rank_reached, "regularity disagrees with rank scan"
-    return ideal
+        pivot_set = set(pivots)
+        # leads of degree d cannot divide one another, so one pass suffices
+        for col, m in enumerate(monomials):
+            if col in pivot_set or any(lm.divides(m) for lm in leads):
+                continue
+            terms = {m: field.one()}
+            for i, pc in enumerate(pivots):
+                if pc > col:
+                    break
+                if R[i, col]:
+                    terms[monomials[pc]] = field(-int(R[i, col]))
+            basis.append(Polynomial(ring, terms))
+            leads.append(m)
+        if rank_reached is not None:
+            initial = MonomialIdeal(ring.nvars, leads)
+            # L inside in(I_X) makes dim S/L >= 1
+            if initial.dimension() == 1:
+                summary = monomial_quotient_degree(initial)
+                if summary.degree < n or summary.reg_index < rank_reached:
+                    raise RuntimeError(
+                        f"leading monomials through degree {d} give deg "
+                        f"{summary.degree}, reg {summary.reg_index}; |X| = {n} "
+                        f"and the evaluation rank first reaches it in degree "
+                        f"{rank_reached}"
+                    )
+                if summary.degree == n and summary.reg_index == rank_reached:
+                    break
+        if d >= n:
+            raise RuntimeError(
+                f"vanishing ideal of {n} points not certified by degree {d}"
+            )
+    basis.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    return Ideal._from_reduced_basis(ring, basis, order, initial, summary)
 
 
 def zero_set(X: ProjectivePointSet, polys) -> tuple[ProjectivePoint, ...]:

@@ -6,8 +6,8 @@ import numpy as np
 from rghw.codes import build_code, validate_subcode
 from rghw.field import PrimeField
 from rghw.groebner import Ideal, ideal_intersection
-from rghw.linalg import all_vectors, gaussian_binomial, matrix_rank
-from rghw.points import ProjectivePointSet, all_projective_points
+from rghw.linalg import all_vectors, gaussian_binomial, kernel_basis, matrix_rank
+from rghw.points import ProjectivePointSet, all_projective_points, evaluation_matrix
 from rghw.polyring import PolyRing
 
 
@@ -50,6 +50,32 @@ def intersection_of_point_ideals(X):
         ideal = single_point_ideal(ring, p)
         result = ideal if result is None else ideal_intersection(result, ideal)
     return result
+
+
+def vanishing_ideal_by_buchberger(X, order):
+    """Vanishing ideal built the Buchberger way: each degree's evaluation
+    kernel adds the vectors not yet in the ideal as generators, and the
+    reduced basis is recomputed after each one.  Stops one degree past the
+    first full-rank degree, which suffices for generating I_X; Buchberger
+    then finds the initial ideal's generators in any higher degree."""
+    ring = PolyRing(X.field, X.s)
+    field = X.field
+    gens = []
+    ideal = Ideal(ring, [], order)
+    d = -1
+    rank_reached = None
+    while rank_reached is None or d < rank_reached + 1:
+        d += 1
+        monomials = ring.monomials_of_degree(d)
+        rows = evaluation_matrix(X, monomials)
+        for vec in kernel_basis(rows.T, field.q):
+            poly = ring.from_terms({m: field(int(c)) for m, c in zip(monomials, vec)})
+            if not ideal.normal_form(poly).is_zero():
+                gens.append(poly)
+                ideal = Ideal(ring, gens, order)
+        if rank_reached is None and matrix_rank(rows, field.q) == len(X):
+            rank_reached = d
+    return ideal
 
 
 def enumeration_cost(k, q):

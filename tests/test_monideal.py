@@ -6,11 +6,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rghw.field import PrimeField
 from rghw.polyring import Monomial, PolyRing
 from rghw.monideal import (
     FootprintRays,
+    GradedQuotientSummary,
     MonomialIdeal,
     UnsupportedDimensionError,
     monomial_quotient_degree,
@@ -205,6 +208,49 @@ def test_dimension_zero_sums_footprint():
     s = monomial_quotient_degree(J)
     # standard monomials: 1, t1, t2, t1^2
     assert s.dimension == 0 and s.degree == 4 and s.hilbert_values == (1, 2, 1, 0)
+
+
+def summary_by_taylor_bound(J):
+    """Hilbert data of S/J in dimension one, evaluated through D*+1 with D*
+    the sum of the generator degrees, which bounds the regularity through
+    the Taylor resolution."""
+    dstar = sum(g.degree for g in J.gens)
+    values = [J.hilbert_function(d) for d in range(dstar + 2)]
+    assert values[dstar] == values[dstar + 1]
+    reg = dstar
+    while reg > 0 and values[reg - 1] == values[dstar]:
+        reg -= 1
+    return GradedQuotientSummary(tuple(values), 1, values[dstar], reg)
+
+
+@st.composite
+def dimension_one_ideals(draw):
+    nvars = draw(st.integers(1, 4))
+    exponent = st.integers(0, 4)
+    gens = []
+    for j in range(nvars):
+        power = draw(st.integers(0, 5))  # 0 leaves variable j without a pure power
+        if power:
+            gens.append(Monomial([power if i == j else 0 for i in range(nvars)]))
+    gens += draw(st.lists(st.lists(exponent, min_size=nvars, max_size=nvars), max_size=4))
+    J = MonomialIdeal(nvars, gens)
+    assume(not J.is_unit())
+    assume((nvars if J.is_zero() else J.dimension()) == 1)
+    return J
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(dimension_one_ideals())
+def test_box_bound_matches_taylor_bound(J):
+    got = monomial_quotient_degree(J)
+    want = summary_by_taylor_bound(J)
+    assert (got.degree, got.dimension, got.reg_index) == (
+        want.degree,
+        want.dimension,
+        want.reg_index,
+    )
+    common = min(len(got.hilbert_values), len(want.hilbert_values))
+    assert got.hilbert_values[:common] == want.hilbert_values[:common]
 
 
 def test_footprint_rays_rejects_bad_input():

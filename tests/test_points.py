@@ -2,6 +2,7 @@
 matrices, vanishing ideals, and zero sets."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from rghw.points import (
     projective_torus,
     zero_set,
 )
-from rghw.polyring import GREVLEX, PolyRing
+from rghw.polyring import GREVLEX, GRLEX, LEX, PolyRing
+
+from oracles import vanishing_ideal_by_buchberger
 
 
 def random_point_set(rng, q, s, n):
@@ -156,6 +159,52 @@ def test_hilbert_function_equals_evaluation_rank(seed=15101):
             basis = ring.monomials_of_degree(d)
             rows = evaluation_matrix(X, basis)
             assert ideal.hilbert_function(d) == matrix_rank(rows.T.copy(), q)
+
+
+def oracle_point_sets():
+    """The eight sets of test_hilbert_function_equals_evaluation_rank (seed
+    15101), then 22 more with q in {2, 3, 5, 7} and s in {2, 3, 4}."""
+    rng = random.Random(15101)
+    for _ in range(8):
+        q = rng.choice([2, 3])
+        n = rng.randrange(2, min(8, len(all_projective_points(q, 3))) + 1)
+        yield random_point_set(rng, q, 3, n)
+    rng = random.Random(60713)
+    for _ in range(22):
+        q = rng.choice([2, 3, 5, 7])
+        s = rng.choice([2, 3, 4])
+        n = rng.randrange(1, min(9, len(all_projective_points(q, s))) + 1)
+        yield random_point_set(rng, q, s, n)
+
+
+def test_vanishing_ideal_matches_buchberger_oracle():
+    above_reg_plus_one = 0
+    for X in oracle_point_sets():
+        for order in (GREVLEX, GRLEX, LEX):
+            got = X.vanishing_ideal(order)
+            want = vanishing_ideal_by_buchberger(X, order)
+            assert got.groebner_basis() == want.groebner_basis()
+            assert got.quotient_summary() == want.quotient_summary()
+            reg = got.quotient_summary().reg_index
+            tops = [g.degree() for g in got.groebner_basis()]
+            above_reg_plus_one += max(tops, default=0) > reg + 1
+    # the sets include initial ideals with a generator beyond reg + 1, the
+    # degree where the rank scan alone would have stopped
+    assert above_reg_plus_one > 0
+
+
+def test_sixty_points_in_p3_over_f5_are_fast():
+    X = random_point_set(random.Random(60), 5, 4, 60)
+    start = time.perf_counter()
+    ideal = X.vanishing_ideal()
+    elapsed = time.perf_counter() - start
+    summary = ideal.quotient_summary()
+    assert summary.degree == 60
+    ring = ideal.ring
+    for d in range(summary.reg_index + 3):
+        rows = evaluation_matrix(X, ring.monomials_of_degree(d))
+        assert ideal.hilbert_function(d) == matrix_rank(rows, 5)
+    assert elapsed < 10.0, f"vanishing ideal of 60 points took {elapsed:.1f} s"
 
 
 def test_evaluation_matrix_known_rows():
