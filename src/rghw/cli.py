@@ -64,6 +64,7 @@ class ProblemConfig:
     points_file: str | None = None
     generators: tuple[str, ...] = ()
     function: str | None = None
+    function_lineno: int | None = None
     dmax: int | None = None
     k1: int = 0
     g_strings: tuple[str, ...] = ()
@@ -151,6 +152,7 @@ def _apply_main_key(config: ProblemConfig, key: str, value: str, lineno: int):
                 f"line {lineno}: function must be one of {', '.join(FUNCTIONS)}, got {value!r}"
             )
         config.function = value
+        config.function_lineno = lineno
     elif key == "dmax":
         config.dmax = _parse_int(value, lineno, "dmax")
     elif key == "k1":
@@ -423,6 +425,11 @@ def _expand_queries(problem: Problem):
             yield query, d
 
 
+def _report_budget(lineno, d: int, r: int, exc: BudgetExceededError):
+    """One stderr line per cell marked '!': where, and what the budget was."""
+    print(f"line {lineno}, d={d}, r={r}: {exc}", file=sys.stderr)
+
+
 def cmd_weights(problem: Problem, args) -> tuple[str, int]:
     X = require_points(problem)
     require_certified(problem)
@@ -450,29 +457,31 @@ def cmd_weights(problem: Problem, args) -> tuple[str, int]:
                 )
         key = (d, r_hi)
         if key not in profiles:
-            profiles[key] = FootprintProfile(code.ideal, d, r_hi)
+            try:
+                profiles[key] = FootprintProfile(code.ideal, d, r_hi, args.budget)
+            except BudgetExceededError as exc:
+                profiles[key] = exc
         profile = profiles[key]
         for r in range(r_lo, r_hi + 1):
             started = time.perf_counter()
-            wq = WeightQuery(code, r, sub)
-            fp_val = str(profile.value(r))
-            cand_mono = str(profile.candidate_count(r))
-            try:
-                scan = CandidateScan(wq, args.budget)
-                delta = str(rgmdf(wq, args.budget))
-                theta = str(vasconcelos(wq, args.budget))
-                cand_poly = str(scan.family_count)
-            except BudgetExceededError:
-                delta = theta = cand_poly = BUDGET_MARK
+            if isinstance(profile, BudgetExceededError):
+                fp_val = cand_mono = BUDGET_MARK
+                _report_budget(query.lineno, d, r, profile)
                 budget_hit = True
-            if args.with_bruteforce:
-                try:
-                    mr = str(rghw_bruteforce(code, sub, r, args.budget))
-                except BudgetExceededError:
-                    mr = BUDGET_MARK
-                    budget_hit = True
             else:
-                mr = "-"
+                fp_val = str(profile.value(r))
+                cand_mono = str(profile.candidate_count(r))
+            try:
+                scan = CandidateScan(WeightQuery(code, r, sub), args.budget)
+            except BudgetExceededError as exc:
+                delta = theta = cand_poly = BUDGET_MARK
+                mr = BUDGET_MARK if args.with_bruteforce else "-"
+                _report_budget(query.lineno, d, r, exc)
+                budget_hit = True
+            else:
+                delta, theta = str(scan.delta), str(scan.theta)
+                cand_poly = str(scan.family_count)
+                mr = str(scan.min_support) if args.with_bruteforce else "-"
             ms = str(int((time.perf_counter() - started) * 1000))
             rows.append(
                 [
@@ -519,12 +528,19 @@ def cmd_matrix(problem: Problem, args) -> tuple[str, int]:
     rows = []
     for d, kk, code, sub in per_d:
         cells = [str(d)]
-        profile = FootprintProfile(ideal, d, kk) if function == "fp" else None
+        profile = None
+        if function == "fp":
+            try:
+                profile = FootprintProfile(ideal, d, kk, args.budget)
+            except BudgetExceededError as exc:
+                profile = exc
         for r in range(1, rmax + 1):
             if r > kk:
                 cells.append("-")
                 continue
             try:
+                if isinstance(profile, BudgetExceededError):
+                    raise profile
                 if function == "fp":
                     cells.append(str(profile.value(r)))
                 elif function == "delta":
@@ -533,8 +549,9 @@ def cmd_matrix(problem: Problem, args) -> tuple[str, int]:
                     cells.append(str(vasconcelos(WeightQuery(code, r, sub), args.budget)))
                 else:
                     cells.append(str(rghw_bruteforce(code, sub, r, args.budget)))
-            except BudgetExceededError:
+            except BudgetExceededError as exc:
                 cells.append(BUDGET_MARK)
+                _report_budget(config.function_lineno, d, r, exc)
                 budget_hit = True
         rows.append(cells)
     return render(header, rows, args.format), 3 if budget_hit else 0

@@ -1,31 +1,27 @@
 """Evaluation codes on projective point sets: generator matrices indexed by
-standard monomials, subcode validation, codeword supports, and brute-force
-relative generalized Hamming weights by subspace enumeration."""
+standard monomials, subcode validation, codeword supports, and relative
+generalized Hamming weights by exhaustive subspace enumeration."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .groebner import Ideal
-from .linalg import (
-    gaussian_binomial,
-    iter_subspace_batches,
-    kernel_basis,
-    matrix_rank,
-    projective_reps,
-    rref,
-)
+from .linalg import kernel_basis, matrix_rank, rref
 from .points import ProjectivePointSet, evaluation_matrix
 from .polyring import GREVLEX, MonomialOrder, PolyRing, Polynomial
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an enumeration would visit more candidates than allowed."""
+    """Raised when an enumeration would visit more candidates than allowed.
+    `needed` is None for walks whose size is only known by walking them."""
 
-    def __init__(self, needed: int, budget: int):
-        super().__init__(
-            f"enumeration needs {needed} candidates, budget is {budget}"
-        )
+    def __init__(self, needed: int | None, budget: int):
+        if needed is None:
+            message = f"enumeration passed the budget of {budget} candidates"
+        else:
+            message = f"enumeration needs {needed} candidates, budget is {budget}"
+        super().__init__(message)
         self.needed = needed
         self.budget = budget
 
@@ -167,52 +163,15 @@ def subspace_support(rows, q: int) -> int:
     return int((rows.any(axis=0)).sum())
 
 
-def _reduce_rows_mod_subcode(Z: np.ndarray, sub_rref: np.ndarray, pivots, q: int) -> np.ndarray:
-    """Eliminate the subcode's pivot coordinates from every row of every
-    batch entry; the result is zero exactly on combinations lying in the
-    subcode."""
-    out = Z.copy()
-    for row_idx, col in enumerate(pivots):
-        factor = out[:, :, col]
-        out = (out - factor[:, :, None] * sub_rref[row_idx][None, None, :]) % q
-    return out
-
-
 def rghw_bruteforce(
     code: EvaluationCode, sub: SubcodeSpec, r: int, budget: int = 10**7
 ) -> int:
     """Minimum support size over all r-dimensional subcodes D of C with
-    D meeting the fixed subcode only in zero, by exhaustive enumeration of
-    echelon-canonical bases."""
-    k, n, q = code.k, code.n, code.q
-    k1 = sub.k1
-    if not 1 <= r <= k - k1:
-        raise ValueError(f"rank r={r} outside [1, {k - k1}]")
-    total = gaussian_binomial(k, r, q)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
-    gen = code.generator_rows
-    if k1:
-        sub_rref, sub_pivots = rref(sub.rows, q)
-        combos = projective_reps(r, q)
-    best = None
-    for batch in iter_subspace_batches(k, r, q):
-        Z = np.matmul(batch, gen) % q
-        if k1:
-            reduced = _reduce_rows_mod_subcode(Z, sub_rref, sub_pivots, q)
-            mixed = np.einsum("ck,bkn->bcn", combos, reduced) % q
-            feasible = ~((mixed == 0).all(axis=2).any(axis=1))
-        else:
-            feasible = np.ones(Z.shape[0], dtype=bool)
-        if not feasible.any():
-            continue
-        supports = (Z[feasible] != 0).any(axis=1).sum(axis=1)
-        m = int(supports.min())
-        if best is None or m < best:
-            best = m
-    if best is None:
-        raise RuntimeError(f"no feasible subspace despite r = {r} <= k - k1")
-    return best
+    D meeting the fixed subcode only in zero: n minus the largest common
+    zero set found by one exhaustive `CandidateScan`."""
+    from .weights import CandidateScan, WeightQuery  # weights imports this module
+
+    return CandidateScan(WeightQuery(code, r, sub), budget).min_support
 
 
 def singleton_bound(code: EvaluationCode, sub: SubcodeSpec, r: int) -> int:

@@ -5,6 +5,8 @@ compute the relative generalized Hamming weight for vanishing ideals."""
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from .codes import (
@@ -14,7 +16,7 @@ from .codes import (
     validate_subcode,
 )
 from .groebner import Ideal
-from .linalg import gaussian_binomial, iter_subspace_batches, projective_reps
+from .linalg import gaussian_binomial
 from .monideal import FootprintRays, MonomialIdeal
 from .points import zero_set
 from .polyring import Monomial, Polynomial
@@ -45,9 +47,12 @@ class FootprintProfile:
     """Shared depth-first scan over admissible monomial subsets of the
     degree-d footprint slice, recording for every size r both the number of
     admissible subsets and the largest degree of S modulo the enlarged
-    initial ideal."""
+    initial ideal.  Raises BudgetExceededError once it has visited more than
+    `budget` admissible subsets."""
 
-    def __init__(self, ideal: Ideal, d: int, rmax: int | None = None):
+    def __init__(
+        self, ideal: Ideal, d: int, rmax: int | None = None, budget: int = 10**7
+    ):
         self.ideal = ideal
         self.d = d
         initial = ideal.initial_ideal()
@@ -76,13 +81,18 @@ class FootprintProfile:
             return fallback_cache[key]
 
         chosen: list[int] = []
+        remaining = budget
 
         def walk(start, wmask, smask):
+            nonlocal remaining
             size = len(chosen)
             for i in range(start, len(self.pool)):
                 w = wmask & witness[i]
                 if w == 0:
                     continue
+                remaining -= 1
+                if remaining < 0:
+                    raise BudgetExceededError(None, budget)
                 chosen.append(i)
                 s = smask & survival[i]
                 value = degree_of(chosen, s)
@@ -122,9 +132,22 @@ def rgff(ideal_or_query, d: int | None = None, r: int | None = None) -> int:
 
 
 class CandidateScan:
-    """One pass over all echelon-canonical r-dimensional coefficient
-    subspaces, filtered by independence from the subcode, collecting the
-    vanishing-count aggregates both weight functions reduce over."""
+    """One pass over every r-dimensional subspace D of the coefficient space
+    with D meeting the subcode C_1 only in zero, recording how many there are
+    (`feasible_count`), how many share a zero on X (`family_count`, the
+    admissible ones), and the largest common zero set (`max_vanishing`).
+
+    With C_1 in reduced echelon form on pivot set P, each such D is the row
+    space of E + L C_1 for exactly one reduced echelon basis E supported off
+    P and one L in F_q^(r x k1), so the pass enumerates the pairs (E, L) and
+    filters nothing: there are q^(r k1) [k - k1, r]_q of them.
+
+    For one pivot pattern of E, the evaluations (E + L C_1) G form an affine
+    family base + sum_t v_t dirs[t], v in F_q^m, with one direction per free
+    entry of E and one per entry of L (`_echelon_family`).  The pass splits
+    v into a head and a tail: D vanishes at a point exactly where the head's
+    column there equals minus the tail's, mod q.  Each column is packed into
+    one integer, so the test is one comparison per (head, tail, point)."""
 
     def __init__(self, query: WeightQuery, budget: int = 10**7):
         code = query.code
@@ -132,58 +155,110 @@ class CandidateScan:
         total = gaussian_binomial(k, r, q)
         if total > budget:
             raise BudgetExceededError(total, budget)
+        self.query = query
         sub = query.subcode
-        combos = projective_reps(r, q) if sub.k1 else None
-        pivots = None
-        if sub.k1:
-            pivots = [int(np.argmax(row != 0)) for row in sub.coeff_rows]
-        family_count = 0
-        max_vanishing = 0
-        min_nonvanishing = None
+        pivots = {int(np.argmax(row != 0)) for row in sub.coeff_rows}
         rows = code.generator_rows
-        for batch in iter_subspace_batches(k, r, q, max_batch=1 << 14):
-            if sub.k1:
-                reduced = batch.copy()
-                for row_idx, col in enumerate(pivots):
-                    factor = reduced[:, :, col]
-                    reduced = (
-                        reduced - factor[:, :, None] * sub.coeff_rows[row_idx][None, None, :]
-                    ) % q
-                mixed = np.einsum("ck,bkj->bcj", combos, reduced) % q
-                independent = ~((mixed == 0).all(axis=2).any(axis=1))
-            else:
-                independent = np.ones(batch.shape[0], dtype=bool)
-            Z = np.matmul(batch, rows) % q
-            vanishing = (Z == 0).all(axis=1).sum(axis=1)
-            admissible = independent & (vanishing > 0)
-            family_count += int(admissible.sum())
-            if admissible.any():
-                max_vanishing = max(max_vanishing, int(vanishing[admissible].max()))
-                live = int((n - vanishing[admissible]).min())
-                if min_nonvanishing is None or live < min_nonvanishing:
-                    min_nonvanishing = live
+        off_pivot_rows = rows[[c for c in range(k) if c not in pivots]]
+        sub_evals = np.matmul(sub.coeff_rows, rows) % q
+        # base-q packing of r residues into int64 words, `group` per word
+        group = max(1, 62 // q.bit_length())
+        pack = np.zeros((-(-r // group), r), dtype=np.int64)
+        for i in range(r):
+            pack[i // group, i] = q ** (i % group)
+        tail_len = 0
+        while q ** (tail_len + 1) <= _SCAN_BATCH:
+            tail_len += 1
+        count_dtype = np.min_scalar_type(n)
+        feasible_count = family_count = max_vanishing = 0
+        for pattern in combinations(range(k - sub.k1), r):
+            base, dirs = _echelon_family(pattern, off_pivot_rows, sub_evals)
+            split = max(0, len(dirs) - tail_len)
+            tail = -_span(dirs[split:], q) % q
+            # words as (word, point, tail): with the tail as the inner axis
+            # each comparison runs over one long contiguous row
+            tail_words = np.einsum("gi,tin->gnt", pack, tail)
+            heads = q**split
+            step = max(1, _SCAN_BATCH // len(tail))
+            for lo in range(0, heads, step):
+                coeffs = _digits(lo, min(lo + step, heads), split, q)
+                head = (base + np.tensordot(coeffs, dirs[:split], axes=1)) % q
+                head_words = np.einsum("gi,cin->gcn", pack, head)
+                hits = head_words[0, :, :, None] == tail_words[0]
+                for g in range(1, len(pack)):
+                    hits &= head_words[g, :, :, None] == tail_words[g]
+                vanishing = hits.sum(axis=1, dtype=count_dtype)
+                feasible_count += vanishing.size
+                family_count += int(np.count_nonzero(vanishing))
+                max_vanishing = max(max_vanishing, int(vanishing.max()))
+        if feasible_count == 0:
+            raise RuntimeError(f"no feasible subspace despite r = {r} <= k - k1")
+        self.feasible_count = feasible_count
         self.family_count = family_count
         self.max_vanishing = max_vanishing
-        self.min_nonvanishing = min_nonvanishing
+        self.min_support = n - max_vanishing
+
+    @property
+    def delta(self) -> int:
+        # max_vanishing is 0 when no subspace is admissible: delta is deg
+        return self.query.code.ideal.degree() - self.max_vanishing
+
+    @property
+    def theta(self) -> int:
+        if not self.family_count:
+            return self.query.code.ideal.degree()
+        return self.min_support
+
+
+# (head, tail) pairs per numpy step: bounds the scan's peak memory.
+_SCAN_BATCH = 1 << 14
+
+
+def _echelon_family(pattern, off_pivot_rows: np.ndarray, sub_evals: np.ndarray):
+    """Evaluations of the subspaces whose echelon part E has the given pivot
+    pattern on the off-pivot coordinates: base (r, n) and dirs (m, r, n) such
+    that the rows of (E + L C_1) G are base + sum_t v_t dirs[t] for exactly
+    one v in F_q^m."""
+    r, (width, n) = len(pattern), off_pivot_rows.shape
+    slots = [
+        (i, off_pivot_rows[j])
+        for i, p in enumerate(pattern)
+        for j in range(p + 1, width)
+        if j not in pattern
+    ]
+    slots += [(i, e) for i in range(r) for e in sub_evals]
+    dirs = np.zeros((len(slots), r, n), dtype=np.int64)
+    for t, (i, vec) in enumerate(slots):
+        dirs[t, i] = vec
+    return off_pivot_rows[list(pattern)], dirs
+
+
+def _span(dirs: np.ndarray, q: int) -> np.ndarray:
+    """Every sum_t v_t dirs[t] for v in F_q^len(dirs), unreduced, as an
+    array of shape (q^len(dirs), r, n)."""
+    out = np.zeros((1,) + dirs.shape[1:], dtype=np.int64)
+    for d in dirs:
+        multiples = np.arange(q, dtype=np.int64)[:, None, None, None]
+        out = (out[None] + multiples * d).reshape((-1,) + dirs.shape[1:])
+    return out
+
+
+def _digits(lo: int, hi: int, width: int, q: int) -> np.ndarray:
+    """Base-q digit vectors, of the given width, of the integers lo..hi-1."""
+    idx = np.arange(lo, hi, dtype=np.int64)
+    return idx[:, None] // q ** np.arange(width, dtype=np.int64) % q
 
 
 def rgmdf(query: WeightQuery, budget: int = 10**7) -> int:
     """Degree-drop weight: deg(S/I) minus the largest vanishing-set size over
     admissible subspaces; deg(S/I) itself when no subspace is admissible."""
-    scan = CandidateScan(query, budget)
-    degree = query.code.ideal.degree()
-    if scan.family_count == 0:
-        return degree
-    return degree - scan.max_vanishing
+    return CandidateScan(query, budget).delta
 
 
 def vasconcelos(query: WeightQuery, budget: int = 10**7) -> int:
     """Colon-degree weight: the smallest count of points left alive by an
     admissible subspace; deg(S/I) when no subspace is admissible."""
-    scan = CandidateScan(query, budget)
-    if scan.min_nonvanishing is None:
-        return query.code.ideal.degree()
-    return scan.min_nonvanishing
+    return CandidateScan(query, budget).theta
 
 
 def candidate_membership_check(code: EvaluationCode, items):
@@ -212,49 +287,3 @@ def candidate_membership_check(code: EvaluationCode, items):
             return True, V[0]
         return False, None
     raise ValueError("mix of monomials and polynomials in candidate set")
-
-
-def full_space_rgmdf(code: EvaluationCode, query: WeightQuery, budget: int = 10**7) -> int:
-    """Oracle variant of rgmdf over subspaces of the entire degree-d
-    coefficient space (not just standard polynomials): used to confirm that
-    restricting to standard polynomials never changes the maximum."""
-    ring = code.ring
-    q = code.q
-    monomials = code.order.sorted(ring.monomials_of_degree(code.d), reverse=True)
-    N = len(monomials)
-    r = query.r
-    total = gaussian_binomial(N, r, q)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
-    from .points import evaluation_matrix
-
-    rows = evaluation_matrix(code.X, monomials)
-    # coefficient rows of the normal forms, for independence-mod-I tests
-    nf_rows = np.zeros((N, code.k), dtype=np.int64)
-    for i, m in enumerate(monomials):
-        nf_rows[i] = code.polynomial_to_coefficients(ring.from_terms({m: code.X.field(1)}))
-    sub = query.subcode
-    combos = projective_reps(r + sub.k1, q)
-    degree = code.ideal.degree()
-    best = None
-    for batch in iter_subspace_batches(N, r, q, max_batch=1 << 12):
-        coeff = np.matmul(batch, nf_rows) % q
-        if sub.k1:
-            stacked = np.concatenate(
-                [coeff, np.broadcast_to(sub.coeff_rows, (batch.shape[0],) + sub.coeff_rows.shape)],
-                axis=1,
-            )
-        else:
-            stacked = coeff
-        mixed = np.einsum("ck,bkj->bcj", combos, stacked) % q
-        independent = ~((mixed == 0).all(axis=2).any(axis=1))
-        Z = np.matmul(batch, rows) % q
-        vanishing = (Z == 0).all(axis=1).sum(axis=1)
-        admissible = independent & (vanishing > 0)
-        if admissible.any():
-            m = int(vanishing[admissible].max())
-            if best is None or m > best:
-                best = m
-    if best is None:
-        return degree
-    return degree - best

@@ -3,10 +3,18 @@ slow routes to the same quantities the package computes."""
 
 import numpy as np
 
-from rghw.codes import build_code, validate_subcode
+from rghw.codes import BudgetExceededError, build_code, validate_subcode
 from rghw.field import PrimeField
 from rghw.groebner import Ideal, ideal_intersection
-from rghw.linalg import all_vectors, gaussian_binomial, kernel_basis, matrix_rank
+from rghw.linalg import (
+    all_vectors,
+    gaussian_binomial,
+    iter_subspace_batches,
+    kernel_basis,
+    matrix_rank,
+    projective_reps,
+    rref,
+)
 from rghw.points import ProjectivePointSet, all_projective_points, evaluation_matrix
 from rghw.polyring import PolyRing
 
@@ -114,3 +122,90 @@ def random_subcode(rng, code, k1):
         if k1 == 0 or matrix_rank(raw.copy(), q) == k1:
             polys = [code.coefficients_to_polynomial(row) for row in raw]
             return validate_subcode(code, polys)
+
+
+def _reduce_rows_mod_subcode(Z, sub_rref, pivots, q):
+    """Eliminate the subcode's pivot coordinates from every row of every
+    batch entry; the result is zero exactly on combinations lying in the
+    subcode."""
+    out = Z.copy()
+    for row_idx, col in enumerate(pivots):
+        factor = out[:, :, col]
+        out = (out - factor[:, :, None] * sub_rref[row_idx][None, None, :]) % q
+    return out
+
+
+def rghw_by_support_scan(code, sub, r):
+    """Walk every r-dimensional subspace of the code in evaluation space and
+    keep those meeting the subcode only in zero, found by reducing modulo
+    the subcode's echelon rows and testing every projective combination.
+    Returns (min support, admissible count, feasible count), where the
+    admissible subspaces are the feasible ones with a common zero on X."""
+    k, n, q = code.k, code.n, code.q
+    gen = code.generator_rows
+    if sub.k1:
+        sub_rref, sub_pivots = rref(sub.rows, q)
+        combos = projective_reps(r, q)
+    best = None
+    admissible = feasible_count = 0
+    for batch in iter_subspace_batches(k, r, q):
+        Z = np.matmul(batch, gen) % q
+        if sub.k1:
+            reduced = _reduce_rows_mod_subcode(Z, sub_rref, sub_pivots, q)
+            mixed = np.einsum("ck,bkn->bcn", combos, reduced) % q
+            feasible = ~((mixed == 0).all(axis=2).any(axis=1))
+        else:
+            feasible = np.ones(Z.shape[0], dtype=bool)
+        if not feasible.any():
+            continue
+        supports = (Z[feasible] != 0).any(axis=1).sum(axis=1)
+        feasible_count += int(feasible.sum())
+        admissible += int((supports < n).sum())
+        m = int(supports.min())
+        if best is None or m < best:
+            best = m
+    return best, admissible, feasible_count
+
+
+def full_space_rgmdf(code, query, budget=10**7):
+    """rgmdf over subspaces of the entire degree-d coefficient space (not
+    just standard polynomials): confirms that restricting to standard
+    polynomials never changes the maximum."""
+    ring = code.ring
+    q = code.q
+    monomials = code.order.sorted(ring.monomials_of_degree(code.d), reverse=True)
+    N = len(monomials)
+    r = query.r
+    total = gaussian_binomial(N, r, q)
+    if total > budget:
+        raise BudgetExceededError(total, budget)
+    rows = evaluation_matrix(code.X, monomials)
+    # coefficient rows of the normal forms, for independence-mod-I tests
+    nf_rows = np.zeros((N, code.k), dtype=np.int64)
+    for i, m in enumerate(monomials):
+        nf_rows[i] = code.polynomial_to_coefficients(ring.from_terms({m: code.X.field(1)}))
+    sub = query.subcode
+    combos = projective_reps(r + sub.k1, q)
+    degree = code.ideal.degree()
+    best = None
+    for batch in iter_subspace_batches(N, r, q, max_batch=1 << 12):
+        coeff = np.matmul(batch, nf_rows) % q
+        if sub.k1:
+            stacked = np.concatenate(
+                [coeff, np.broadcast_to(sub.coeff_rows, (batch.shape[0],) + sub.coeff_rows.shape)],
+                axis=1,
+            )
+        else:
+            stacked = coeff
+        mixed = np.einsum("ck,bkj->bcj", combos, stacked) % q
+        independent = ~((mixed == 0).all(axis=2).any(axis=1))
+        Z = np.matmul(batch, rows) % q
+        vanishing = (Z == 0).all(axis=1).sum(axis=1)
+        admissible = independent & (vanishing > 0)
+        if admissible.any():
+            m = int(vanishing[admissible].max())
+            if best is None or m > best:
+                best = m
+    if best is None:
+        return degree
+    return degree - best

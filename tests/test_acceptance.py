@@ -5,7 +5,12 @@ import random
 import time
 from contextlib import contextmanager
 
-from oracles import intersection_of_point_ideals, random_subcode, sample_instance
+from oracles import (
+    full_space_rgmdf,
+    intersection_of_point_ideals,
+    random_subcode,
+    sample_instance,
+)
 
 from rghw.codes import build_code, rghw_bruteforce, singleton_bound, validate_subcode
 from rghw.field import PrimeField
@@ -22,7 +27,6 @@ from rghw.polyring import PolyRing
 from rghw.weights import (
     FootprintProfile,
     WeightQuery,
-    full_space_rgmdf,
     rgff,
     rgmdf,
     vasconcelos,

@@ -202,6 +202,42 @@ def test_budget_exhaustion_marks_and_exit_3(capsys, tmp_path):
     lines = out.rstrip("\n").split("\n")
     assert lines[1].split(",")[5] == "!"  # delta for r = 1 needs 31 > 10
     assert lines[3].split(",")[5] == "16"  # the single r = 3 subspace still fits
+    # one stderr line per marked row, naming the [query] line, d and r
+    assert err == (
+        "line 5, d=1, r=1: enumeration needs 31 candidates, budget is 10\n"
+        "line 5, d=1, r=2: enumeration needs 31 candidates, budget is 10\n"
+    )
+
+
+def test_footprint_walk_budget_marks_and_exit_3(capsys, tmp_path):
+    (tmp_path / "t.cfg").write_text(
+        "q = 5\ns = 3\nsource = ideal\ngenerators = t1^4 - t3^4 ; t2^4 - t3^4\n"
+        "function = fp\ndmax = 2\n"
+    )
+    code, out, err = run(capsys, ["matrix", "--config", str(tmp_path / "t.cfg"),
+                                  "--format", "csv", "--budget", "10"])
+    assert code == 3
+    # d = 1 visits 7 admissible subsets; d = 2 passes 10 and marks its 6 cells
+    assert out == "d,r1,r2,r3,r4,r5,r6\n1,12,15,16,-,-,-\n2,!,!,!,!,!,!\n"
+    assert err.splitlines() == [
+        f"line 5, d=2, r={r}: enumeration passed the budget of 10 candidates"
+        for r in range(1, 7)
+    ]
+    (tmp_path / "w.cfg").write_text(
+        "q = 5\ns = 3\nsource = torus\n[query]\nd = 2\nr = 1..2\n"
+    )
+    code, out, err = run(capsys, ["weights", "--config", str(tmp_path / "w.cfg"),
+                                  "--format", "csv", "--budget", "10"])
+    assert code == 3
+    for line in out.splitlines()[1:]:
+        cells = line.split(",")
+        assert cells[4] == cells[10] == "!"  # fp and cand_mono: 5 + 10 subsets
+    assert err.splitlines() == [
+        "line 4, d=2, r=1: enumeration passed the budget of 10 candidates",
+        "line 4, d=2, r=1: enumeration needs 3906 candidates, budget is 10",
+        "line 4, d=2, r=2: enumeration passed the budget of 10 candidates",
+        "line 4, d=2, r=2: enumeration needs 508431 candidates, budget is 10",
+    ]
 
 
 def test_r_out_of_range_is_config_error(capsys, tmp_path):

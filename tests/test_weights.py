@@ -10,6 +10,8 @@ import random
 import numpy as np
 import pytest
 
+from oracles import full_space_rgmdf, random_subcode, rghw_by_support_scan
+
 from rghw.codes import BudgetExceededError, build_code, rghw_bruteforce, validate_subcode
 from rghw.field import PrimeField
 from rghw.groebner import Ideal, ideal_quotient
@@ -27,7 +29,6 @@ from rghw.weights import (
     FootprintProfile,
     WeightQuery,
     candidate_membership_check,
-    full_space_rgmdf,
     rgff,
     rgmdf,
     vasconcelos,
@@ -124,6 +125,48 @@ def test_weight_triple_on_torus_subcode():
     assert values[1] == (4, 4, 4, 4)
     assert values[2] == (6, 6, 6, 6)
     assert values[3] == (7, 7, 7, 7)
+
+
+# (s, points, d) per field: codes of dimension 9, 6 and 5, so that every
+# k1 in {0, 1, 2} leaves several ranks within the oracle's reach
+SCAN_ORACLE_CODES = {2: (4, 9, 2), 3: (3, 8, 2), 5: (5, 6, 1)}
+
+
+@pytest.mark.parametrize("k1", [0, 1, 2])
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_lifted_scan_matches_support_oracle(q, k1):
+    # the lifted scan enumerates only the subspaces independent of the
+    # subcode; the oracle enumerates all of them in evaluation space and
+    # filters, so counts and minimum support must agree
+    rng = random.Random(1000 * q + k1)
+    s, npoints, d = SCAN_ORACLE_CODES[q]
+    code = build_code(random_point_set(rng, q, s, npoints), d)
+    sub = random_subcode(rng, code, k1)
+    k = code.k
+    ranks = [r for r in range(1, k - k1 + 1) if gaussian_binomial(k, r, q) <= 2 * 10**5]
+    assert ranks
+    for r in ranks:
+        scan = CandidateScan(WeightQuery(code, r, sub))
+        assert (scan.min_support, scan.family_count, scan.feasible_count) == \
+            rghw_by_support_scan(code, sub, r), (r, k)
+        assert scan.feasible_count == q ** (r * k1) * gaussian_binomial(k - k1, r, q)
+
+
+def test_scan_on_large_fields_matches_support_oracle():
+    # over F_1021 six residues fit one int64 word, so r = k = 7 takes two;
+    # over F_65537 no tail of q^t <= 2^14 pairs exists, so every pair of
+    # the line's q + 1 subspaces is a head
+    rng = random.Random(1021)
+    points = {(1, rng.randrange(1021), rng.randrange(1021)) for _ in range(7)}
+    code = build_code(ProjectivePointSet(PrimeField(1021), sorted(points)), 3)
+    assert code.k == 7
+    line = build_code(ProjectivePointSet(PrimeField(65537), [(1, 0), (1, 5), (0, 1)]), 1)
+    for code, r in ((code, 7), (line, 1)):
+        sub = validate_subcode(code, [])
+        scan = CandidateScan(WeightQuery(code, r, sub))
+        assert (scan.min_support, scan.family_count, scan.feasible_count) == \
+            rghw_by_support_scan(code, sub, r)
+    assert scan.feasible_count == 65538 and scan.min_support == 2
 
 
 def test_empty_family_falls_back_to_degree():
