@@ -20,6 +20,7 @@ from .codes import (
 )
 from .field import PrimeField
 from .groebner import Ideal
+from .linalg import ModulusTooLargeError, require_exact_int64
 from .monideal import UnsupportedDimensionError
 from .points import (
     ProjectivePointSet,
@@ -252,6 +253,7 @@ def _parse_generator(ring: PolyRing, text: str):
 def load_problem(config: ProblemConfig, order, config_dir: Path) -> Problem:
     try:
         fieldq = PrimeField(config.q)
+        require_exact_int64(config.q)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if config.source == "torus":
@@ -458,7 +460,9 @@ def cmd_weights(problem: Problem, args) -> tuple[str, int]:
         key = (d, r_hi)
         if key not in profiles:
             try:
-                profiles[key] = FootprintProfile(code.ideal, d, r_hi, args.budget)
+                profile = FootprintProfile(code.ideal, d, r_hi, args.budget)
+                profile.candidate_count(r_hi)  # counts every rank for cand_mono
+                profiles[key] = profile
             except BudgetExceededError as exc:
                 profiles[key] = exc
         profile = profiles[key]
@@ -595,7 +599,7 @@ def main(argv=None) -> int:
         config = parse_config(text)
         problem = load_problem(config, ORDERS[args.order], Path(args.config).resolve().parent)
         output, status = COMMANDS[args.command](problem, args)
-    except ConfigError as exc:
+    except (ConfigError, ModulusTooLargeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(output)

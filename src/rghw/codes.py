@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .groebner import Ideal
-from .linalg import kernel_basis, matrix_rank, rref
+from .linalg import kernel_basis, matrix_rank, require_exact_int64, rref
 from .points import ProjectivePointSet, evaluation_matrix
 from .polyring import GREVLEX, MonomialOrder, PolyRing, Polynomial
 
@@ -52,8 +52,10 @@ class EvaluationCode:
         self.ideal = X.vanishing_ideal(order)
         self.ring = self.ideal.ring
         self.standard_monomials = order.sorted(self.ideal.footprint_slice(d), reverse=True)
-        self.generator_rows = evaluation_matrix(X, self.standard_monomials)
         self.k = len(self.standard_monomials)
+        # codewords are coefficient vectors times the k generator rows
+        require_exact_int64(X.field.q, self.k)
+        self.generator_rows = evaluation_matrix(X, self.standard_monomials)
         self.n = len(X)
         rank = matrix_rank(self.generator_rows, self.q)
         if rank != self.k:

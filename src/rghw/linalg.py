@@ -1,14 +1,33 @@
 """Dense linear algebra over a prime field F_q on numpy int64 arrays.
 
 Matrices hold representatives in [0, q).  Everything here is exact integer
-arithmetic; q is small enough in practice that int64 products cannot overflow.
+arithmetic as long as every sum of L products of two residues, at most
+(q - 1)^2 * L, stays below 2^63; `require_exact_int64` refuses larger q.
 """
 
 from __future__ import annotations
 
+from math import isqrt
+
 import numpy as np
 
 from .field import _is_prime
+
+
+class ModulusTooLargeError(ValueError):
+    """Raised for a modulus whose residue products overflow int64."""
+
+
+def require_exact_int64(q: int, length: int = 1) -> None:
+    """Raise ModulusTooLargeError unless (q - 1)^2 * length < 2^63, that is
+    unless a sum of `length` products of residues mod q fits in int64."""
+    length = max(length, 1)
+    if (q - 1) ** 2 * length >= 1 << 63:
+        limit = isqrt(((1 << 63) - 1) // length) + 1
+        raise ModulusTooLargeError(
+            f"q = {q} is too large for exact int64 arithmetic: "
+            f"(q - 1)^2 * {length} must stay below 2^63, which needs q <= {limit}"
+        )
 
 
 def inverse_table(q: int) -> np.ndarray:
@@ -28,6 +47,7 @@ def rref(matrix, q: int):
     lists the pivot column of each nonzero row in order.  q must be prime:
     each pivot is inverted as v^(q-2) by Fermat's little theorem.
     """
+    require_exact_int64(q)
     R = np.array(matrix, dtype=np.int64) % q
     if R.ndim != 2:
         raise ValueError(f"expected a 2-dimensional array, got shape {R.shape}")
@@ -72,7 +92,9 @@ def kernel_basis(matrix, q: int) -> np.ndarray:
 
 
 def mul_mod(a, b, q: int) -> np.ndarray:
-    return np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64) % q
+    a = np.asarray(a, dtype=np.int64)
+    require_exact_int64(q, a.shape[-1])
+    return a @ np.asarray(b, dtype=np.int64) % q
 
 
 def gaussian_binomial(k: int, r: int, q: int) -> int:

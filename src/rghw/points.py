@@ -10,7 +10,7 @@ import numpy as np
 
 from .field import FieldElement, PrimeField
 from .groebner import Ideal
-from .linalg import rref
+from .linalg import require_exact_int64, rref
 from .monideal import MonomialIdeal, monomial_quotient_degree
 from .polyring import GREVLEX, Monomial, MonomialOrder, PolyRing, Polynomial
 
@@ -226,6 +226,7 @@ def evaluation_matrix(X: ProjectivePointSet, basis) -> np.ndarray:
             elif d != degree:
                 raise ValueError(f"degree mismatch: {d} vs {degree}")
     q = X.field.q
+    require_exact_int64(q)
     rows = np.zeros((len(entries), len(X)), dtype=np.int64)
     for i, b in enumerate(entries):
         if isinstance(b, Monomial):

@@ -16,7 +16,7 @@ from .codes import (
     validate_subcode,
 )
 from .groebner import Ideal
-from .linalg import gaussian_binomial
+from .linalg import gaussian_binomial, require_exact_int64
 from .monideal import FootprintRays, MonomialIdeal
 from .points import zero_set
 from .polyring import Monomial, Polynomial
@@ -44,66 +44,112 @@ class WeightQuery:
 
 
 class FootprintProfile:
-    """Shared depth-first scan over admissible monomial subsets of the
-    degree-d footprint slice, recording for every size r both the number of
-    admissible subsets and the largest degree of S modulo the enlarged
-    initial ideal.  Raises BudgetExceededError once it has visited more than
-    `budget` admissible subsets."""
+    """The largest degree of S modulo the enlarged initial ideal over the
+    admissible monomial subsets of each size r <= rmax of the degree-d
+    footprint slice, found by one depth-first branch-and-bound per rank.
+
+    A subset M is admissible when the AND of its witness masks is nonzero,
+    and scores the popcount of the AND of its survival masks, or, when that
+    AND is 0, the length of the finite quotient S/(J + M).  Three cuts are
+    exact:
+    - size: fewer compatible candidates remain than the subset still needs;
+    - popcount: survivor masks only shrink, so while no descendant can reach
+      mask 0 a subtree scores at most the need-th largest child popcount;
+    - zero mask: once the mask is 0 the quotient is finite and only shrinks,
+      so a node whose length is at most the best found is cut.
+
+    `counts[r]` is the number of nodes rank r's search expanded; the nodes
+    of all ranks count against `budget`, past which BudgetExceededError is
+    raised.  `candidate_count` enumerates the admissible subsets themselves,
+    on first call, against a budget of its own."""
 
     def __init__(
         self, ideal: Ideal, d: int, rmax: int | None = None, budget: int = 10**7
     ):
         self.ideal = ideal
         self.d = d
+        self.budget = budget
         initial = ideal.initial_ideal()
-        self.pool = ideal.order.sorted(ideal.footprint_slice(d), reverse=True)
+        pool = self.pool = ideal.order.sorted(ideal.footprint_slice(d), reverse=True)
         self.total_degree = ideal.degree()
-        rmax = len(self.pool) if rmax is None else min(rmax, len(self.pool))
+        rmax = len(pool) if rmax is None else min(rmax, len(pool))
         self.rmax = rmax
         self.counts = [0] * (rmax + 1)
         self.best = [None] * (rmax + 1)
-        if not self.pool or rmax < 1:
+        self._admissible = None
+        if not pool or rmax < 1:
             return
         engine = FootprintRays(initial)
-        witness = [engine.witness_mask(m) for m in self.pool]
-        survival = [engine.survival_mask(m) for m in self.pool]
+        witness = self._witness = [engine.witness_mask(m) for m in pool]
+        survival = [engine.survival_mask(m) for m in pool]
         full = (1 << len(engine.ray_cells)) - 1
-        fallback_cache: dict[tuple, int] = {}
+        # tail_kill[i]: AND of the survival masks of the candidates j >= i
+        # that are admissible alone; s & tail_kill[i] != 0 means no subset
+        # drawn from them can take survivor mask s to 0
+        tail_kill = [full] * (len(pool) + 1)
+        for i in reversed(range(len(pool))):
+            tail_kill[i] = tail_kill[i + 1] & (survival[i] if witness[i] else full)
+        lengths: dict[tuple, int] = {}
 
-        def degree_of(chosen, survivors):
-            if survivors:
-                return survivors.bit_count()
-            key = initial.add([self.pool[i] for i in chosen]).gens
-            if key not in fallback_cache:
-                fallback_cache[key] = engine.sum_degree(
-                    [self.pool[i] for i in chosen], survivors
-                )
-            return fallback_cache[key]
+        def length(chosen):
+            monomials = [pool[i] for i in chosen]
+            key = initial.add(monomials).gens
+            if key not in lengths:
+                lengths[key] = engine.sum_degree(monomials, 0)
+            return lengths[key]
 
         chosen: list[int] = []
-        remaining = budget
+        nodes = 0
+        best = -1
 
-        def walk(start, wmask, smask):
-            nonlocal remaining
-            size = len(chosen)
-            for i in range(start, len(self.pool)):
+        def search(start, wmask, smask, need):
+            nonlocal nodes, best
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(None, budget)
+            kids = []
+            for i in range(start, len(pool)):
                 w = wmask & witness[i]
-                if w == 0:
+                if w:
+                    s = smask & survival[i]
+                    kids.append((-s.bit_count(), i, w, s))
+            if len(kids) < need:
+                return
+            if need == 1:
+                for neg, i, _, s in kids:
+                    if s:
+                        best = max(best, -neg)
+                    else:
+                        chosen.append(i)
+                        best = max(best, length(chosen))
+                        chosen.pop()
+                return
+            # a child must leave need - 1 compatible candidates after it
+            last = kids[-need][1]
+            safe = smask & tail_kill[start] != 0
+            kids.sort()  # largest popcount first
+            if safe and -kids[need - 1][0] <= best:
+                return
+            for neg, i, w, s in kids:
+                if i > last:
                     continue
-                remaining -= 1
-                if remaining < 0:
-                    raise BudgetExceededError(None, budget)
                 chosen.append(i)
-                s = smask & survival[i]
-                value = degree_of(chosen, s)
-                self.counts[size + 1] += 1
-                if self.best[size + 1] is None or value > self.best[size + 1]:
-                    self.best[size + 1] = value
-                if size + 1 < rmax:
-                    walk(i + 1, w, s)
+                if s:
+                    keep = -neg > best or not s & tail_kill[i + 1]
+                else:
+                    keep = length(chosen) > best
+                if keep:
+                    search(i + 1, w, s, need - 1)
                 chosen.pop()
 
-        walk(0, -1, full)
+        for r in range(1, rmax + 1):
+            before, best = nodes, -1
+            search(0, -1, full, r)
+            self.counts[r] = nodes - before
+            if best < 0:
+                # no admissible r-subset, hence none larger either
+                break
+            self.best[r] = best
 
     def value(self, r: int) -> int:
         """fp at rank r: degree drop against the best admissible subset, or
@@ -115,7 +161,34 @@ class FootprintProfile:
         return self.total_degree - self.best[r]
 
     def candidate_count(self, r: int) -> int:
-        return self.counts[r] if 1 <= r <= self.rmax else 0
+        """Number of admissible subsets of size r.  The first call counts
+        every size up to rmax by a depth-first walk over the witness masks,
+        and raises BudgetExceededError past `budget` subsets."""
+        if not 1 <= r <= self.rmax:
+            return 0
+        if self._admissible is None:
+            self._admissible = self._count_admissible()
+        return self._admissible[r]
+
+    def _count_admissible(self) -> list[int]:
+        witness, rmax, budget = self._witness, self.rmax, self.budget
+        counts = [0] * (rmax + 1)
+        visited = 0
+
+        def walk(start, wmask, size):
+            nonlocal visited
+            for i in range(start, len(witness)):
+                w = wmask & witness[i]
+                if w:
+                    visited += 1
+                    if visited > budget:
+                        raise BudgetExceededError(None, budget)
+                    counts[size] += 1
+                    if size < rmax:
+                        walk(i + 1, w, size + 1)
+
+        walk(0, -1, 1)
+        return counts
 
 
 def rgff(ideal_or_query, d: int | None = None, r: int | None = None) -> int:
@@ -155,6 +228,9 @@ class CandidateScan:
         total = gaussian_binomial(k, r, q)
         if total > budget:
             raise BudgetExceededError(total, budget)
+        # products: C_1 coefficients times k generator rows, and base plus
+        # up to r (k - r) directions, each a residue times a residue
+        require_exact_int64(q, max(k, r * (k - r) + 1))
         self.query = query
         sub = query.subcode
         pivots = {int(np.argmax(row != 0)) for row in sub.coeff_rows}

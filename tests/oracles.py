@@ -15,6 +15,7 @@ from rghw.linalg import (
     projective_reps,
     rref,
 )
+from rghw.monideal import FootprintRays
 from rghw.points import ProjectivePointSet, all_projective_points, evaluation_matrix
 from rghw.polyring import PolyRing
 
@@ -209,3 +210,41 @@ def full_space_rgmdf(code, query, budget=10**7):
     if best is None:
         return degree
     return degree - best
+
+
+def footprint_by_subset_walk(ideal, d, rmax):
+    """Walk every admissible monomial subset of the degree-d footprint slice
+    up to size rmax, in the profile's pool order, with no cut.  Returns
+    (counts, best): counts[r] admissible r-subsets, and best[r] the largest
+    score among them (popcount of the survivor mask, or the finite-quotient
+    length when that mask is 0), None when there is none."""
+    initial = ideal.initial_ideal()
+    pool = ideal.order.sorted(ideal.footprint_slice(d), reverse=True)
+    rmax = min(rmax, len(pool))
+    counts = [0] * (rmax + 1)
+    best = [None] * (rmax + 1)
+    if not pool or rmax < 1:
+        return counts, best
+    engine = FootprintRays(initial)
+    witness = [engine.witness_mask(m) for m in pool]
+    survival = [engine.survival_mask(m) for m in pool]
+    chosen = []
+
+    def walk(start, wmask, smask):
+        size = len(chosen) + 1
+        for i in range(start, len(pool)):
+            w = wmask & witness[i]
+            if w == 0:
+                continue
+            chosen.append(i)
+            s = smask & survival[i]
+            value = engine.sum_degree([pool[j] for j in chosen], s)
+            counts[size] += 1
+            if best[size] is None or value > best[size]:
+                best[size] = value
+            if size < rmax:
+                walk(i + 1, w, s)
+            chosen.pop()
+
+    walk(0, -1, (1 << len(engine.ray_cells)) - 1)
+    return counts, best

@@ -2,6 +2,11 @@
 rerun determinism.  The ms column is wall time and is masked before any
 byte comparison."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from rghw.cli import main, parse_config, ConfigError
@@ -283,3 +288,48 @@ def test_order_flag_changes_monomial_order(capsys, tmp_path):
     assert code_g == code_l == 0
     # same weights on this instance whichever order is used
     assert mask_ms(out_g) == mask_ms(out_l)
+
+
+def test_torus_fp_matrix_past_the_subset_walk(capsys, tmp_path):
+    # torus of P^2/F_11 up to d = 6 (k = 28 there): enumerating admissible
+    # subsets would need about 2.7 * 10^8 of them, the default budget is 10^7
+    (tmp_path / "t.cfg").write_text(
+        "q = 11\ns = 3\nsource = torus\nfunction = fp\ndmax = 6\n"
+    )
+    code, out, err = run(capsys, ["matrix", "--config", str(tmp_path / "t.cfg"),
+                                  "--format", "csv"])
+    assert code == 0 and err == "" and "!" not in out
+    q, s = 11, 3
+    rows = [[int(c) for c in line.split(",") if c != "-"]
+            for line in out.splitlines()[1:]]
+    for d, row in enumerate(rows, start=1):
+        # torus minimum distance (Sarmiento, Vaz Pinto, Villarreal 2011):
+        # (q-1)^(s-k-2) (q-1-l) with d = k (q-2) + l, 1 <= l <= q-2
+        k, ell = divmod(d - 1, q - 2)
+        ell += 1
+        assert row[1] == (q - 1) ** (s - k - 2) * (q - 1 - ell)
+        assert row[-1] == (q - 1) ** (s - 1)
+        assert all(a < b for a, b in zip(row[1:], row[2:]))
+    assert [row[1] for row in rows] == [90, 80, 70, 60, 50, 40]
+    assert len(rows[-1]) - 1 == 28
+
+
+def test_modulus_beyond_int64_is_config_error(capsys, tmp_path):
+    # products of residues mod 10^18 + 3 overflow int64: refused up front
+    (tmp_path / "pts.txt").write_text("1:2:3\n1:0:0\n0:1:0\n0:0:1\n")
+    (tmp_path / "big.cfg").write_text(
+        "q = 1000000000000000003\nsource = file\npoints_file = pts.txt\n"
+    )
+    code, out, err = run(capsys, ["vanishing-ideal", "--config", str(tmp_path / "big.cfg")])
+    assert code == 2 and out == ""
+    assert "q = 1000000000000000003" in err and "q <= 3037000500" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "rghw", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: rghw")

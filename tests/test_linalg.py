@@ -147,3 +147,14 @@ def test_all_vectors():
     assert V.shape == (27, 3)
     assert len({v.tobytes() for v in V}) == 27
     assert all_vectors(0, 5).shape == (1, 0)
+
+
+def test_int64_bound_refuses_large_moduli():
+    big = 10**18 + 3
+    with pytest.raises(ValueError, match="q <= 3037000500"):
+        rref([[1, 2], [3, 4]], big)
+    # 2^31 - 1: (q-1)^2 fits twice below 2^63 but not three times
+    q = 2**31 - 1
+    assert np.array_equal(mul_mod([[q - 1, q - 1]], [[q - 1], [q - 1]], q), [[2]])
+    with pytest.raises(ValueError, match="\\(q - 1\\)\\^2 \\* 3"):
+        mul_mod([[1, 1, 1]], [[1], [1], [1]], q)

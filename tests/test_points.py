@@ -274,3 +274,29 @@ def test_coordinate_matrix_shape():
     mat = X.coordinate_matrix()
     assert mat.shape == (4, 8)
     assert (mat[0] == 1).all()
+
+
+def test_large_prime_basis_vanishes_exactly():
+    # q = 10^9 + 7 keeps (q-1)^2 below 2^63; the basis must vanish on the
+    # points when evaluated with Python integers, not int64
+    q = 10**9 + 7
+    coords = [(1, 2, 3), (1, 0, 0), (0, 1, 0), (0, 0, 1), (5, 7, 1000000000)]
+    X = ProjectivePointSet(PrimeField(q), coords)
+    ideal = X.vanishing_ideal()
+    assert ideal.degree() == len(coords)
+    for g in ideal.groebner_basis():
+        for p in coords:
+            value = 0
+            for mono, coeff in g.terms.items():
+                term = coeff.value
+                for v, e in zip(p, mono.exponents):
+                    term = term * pow(v, e, q) % q
+                value += term
+            assert value % q == 0, (g, p)
+
+
+def test_evaluation_refuses_moduli_beyond_int64():
+    X = ProjectivePointSet(PrimeField(10**18 + 3), [(1, 2, 3), (0, 0, 1)])
+    ring = PolyRing(X.field, 3)
+    with pytest.raises(ValueError, match="q <= 3037000500"):
+        evaluation_matrix(X, [ring.parse("t1")])

@@ -10,20 +10,25 @@ import random
 import numpy as np
 import pytest
 
-from oracles import full_space_rgmdf, random_subcode, rghw_by_support_scan
+from oracles import (
+    footprint_by_subset_walk,
+    full_space_rgmdf,
+    random_subcode,
+    rghw_by_support_scan,
+)
 
 from rghw.codes import BudgetExceededError, build_code, rghw_bruteforce, validate_subcode
 from rghw.field import PrimeField
 from rghw.groebner import Ideal, ideal_quotient
 from rghw.linalg import gaussian_binomial, iter_subspace_batches
-from rghw.monideal import monomial_quotient_degree
+from rghw.monideal import FootprintRays, MonomialIdeal, monomial_quotient_degree
 from rghw.points import (
     ProjectivePointSet,
     all_projective_points,
     projective_torus,
     zero_set,
 )
-from rghw.polyring import Monomial, PolyRing
+from rghw.polyring import ORDERS, Monomial, PolyRing
 from rghw.weights import (
     CandidateScan,
     FootprintProfile,
@@ -113,6 +118,117 @@ def test_footprint_profile_against_subset_enumeration(seed=70111):
             assert profile.candidate_count(r) == count
             expected = total if best is None else total - best
             assert profile.value(r) == expected
+
+
+def _random_point_instances(rng, count):
+    """Vanishing ideals of random point sets in P^2 and P^3 over F_2, F_3
+    and F_5 under all three orders, with a degree d <= 3 whose slice has at
+    most 12 monomials (the walk's finite-quotient fallback makes larger
+    slices of P^3/F_5 cost seconds each)."""
+    out = []
+    while len(out) < count:
+        q, s = rng.choice([2, 3, 5]), rng.choice([3, 4])
+        limit = len(all_projective_points(q, s))
+        X = random_point_set(rng, q, s, rng.randrange(2, min(12, limit) + 1))
+        ideal = X.vanishing_ideal(ORDERS[rng.choice(sorted(ORDERS))])
+        d = rng.randrange(1, 4)
+        if ideal.hilbert_function(d) <= 12:
+            out.append((ideal, d))
+    return out
+
+
+def _random_monomial_instances(rng, count):
+    """Monomial ideals of dimension <= 1 in three or four variables: pure
+    powers of all variables but at most one, plus a few mixed monomials."""
+    out = []
+    while len(out) < count:
+        s = rng.choice([3, 4])
+        ring = PolyRing(PrimeField(2), s)
+        free = rng.randrange(s + 1)  # s: no free variable, dimension 0
+        gens = [
+            tuple(rng.randrange(1, 4) if j == i else 0 for j in range(s))
+            for i in range(s) if i != free
+        ]
+        for _ in range(rng.randrange(1, 4)):
+            e = tuple(rng.randrange(3) for _ in range(s))
+            if any(e):
+                gens.append(e)
+        order = ORDERS[rng.choice(sorted(ORDERS))]
+        polys = [ring.from_terms({Monomial(e): ring.field.one()}) for e in gens]
+        ideal = Ideal(ring, polys, order)
+        if MonomialIdeal(s, gens).dimension() > 1:
+            continue
+        d = rng.randrange(1, 4)
+        if 0 < ideal.hilbert_function(d) <= 12:
+            out.append((ideal, d))
+    return out
+
+
+def _torus_instances():
+    grids = [(5, 3, 6), (7, 3, 4), (3, 4, 3), (5, 4, 2)]
+    return [
+        (projective_torus(q, s).vanishing_ideal(), d)
+        for q, s, dmax in grids
+        for d in range(1, dmax + 1)
+    ]
+
+
+def _reaches_zero_mask(ideal, d):
+    """Whether some admissible subset of the slice has survivor mask 0, so
+    that it scores by the finite-quotient fallback."""
+    engine = FootprintRays(ideal.initial_ideal())
+    pool = ideal.footprint_slice(d)
+    masks = [(engine.witness_mask(m), engine.survival_mask(m)) for m in pool]
+
+    def down(start, wmask, smask):
+        for i in range(start, len(masks)):
+            w, s = wmask & masks[i][0], smask & masks[i][1]
+            if w and (not s or down(i + 1, w, s)):
+                return True
+        return False
+
+    return down(0, -1, (1 << len(engine.ray_cells)) - 1)
+
+
+@pytest.mark.parametrize("family", ["points", "monomial", "torus"])
+def test_branch_and_bound_matches_subset_walk(family, seed=61907):
+    # the per-rank branch-and-bound cuts subtrees; the walk visits every
+    # admissible subset, so best values and admissible counts must agree
+    rng = random.Random(seed)
+    if family == "points":
+        instances = _random_point_instances(rng, 40)
+    elif family == "monomial":
+        instances = _random_monomial_instances(rng, 40)
+    else:
+        instances = _torus_instances()
+    zero_mask_instances = 0
+    for ideal, d in instances:
+        rmax = ideal.hilbert_function(d)
+        counts, best = footprint_by_subset_walk(ideal, d, rmax)
+        profile = FootprintProfile(ideal, d, rmax)
+        total = ideal.degree()
+        for r in range(1, rmax + 1):
+            expected = total if best[r] is None else total - best[r]
+            assert profile.value(r) == expected, (ideal, d, r)
+            assert profile.candidate_count(r) == counts[r], (ideal, d, r)
+        zero_mask_instances += _reaches_zero_mask(ideal, d)
+    if family != "torus":
+        # the finite-quotient fallback and the zero-mask cut are exercised
+        assert zero_mask_instances > 0
+
+
+def test_profile_budget_counts_nodes_and_subsets_separately():
+    # d = 2 on the torus of P^2/F_5: the search expands 24 nodes while
+    # 31 admissible subsets exist; each count has its own budget
+    ideal = projective_torus(5, 3).vanishing_ideal()
+    profile = FootprintProfile(ideal, 2, 6, budget=30)
+    assert sum(profile.counts) == 24
+    with pytest.raises(BudgetExceededError):
+        profile.candidate_count(1)
+    with pytest.raises(BudgetExceededError):
+        FootprintProfile(ideal, 2, 6, budget=23)
+    profile = FootprintProfile(ideal, 2, 6, budget=31)
+    assert [profile.candidate_count(r) for r in range(1, 7)] == [5, 10, 10, 5, 1, 0]
 
 
 def test_weight_triple_on_torus_subcode():
@@ -305,3 +421,14 @@ def test_budget_guard():
         rgmdf(query, budget=5)
     with pytest.raises(BudgetExceededError):
         full_space_rgmdf(code, query, budget=5)
+
+
+def test_scan_refuses_moduli_whose_sums_overflow():
+    # q - 1 ~ 1.36 * 10^9: four products of residues fit in int64, five do
+    # not; the code (k = 4) is built, its r = 2 scan sums r (k - r) + 1 = 5
+    q = 1358187923
+    points = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)]
+    code = build_code(ProjectivePointSet(PrimeField(q), points), 1)
+    assert code.k == 4
+    with pytest.raises(ValueError, match="q <= "):
+        CandidateScan(WeightQuery(code, 2), budget=10**60)
