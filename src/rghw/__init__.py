@@ -9,16 +9,12 @@ from .codes import (
     build_code,
     rghw_bruteforce,
     singleton_bound,
-    subspace_support,
     validate_subcode,
 )
 from .field import FieldElement, PrimeField
 from .groebner import (
     Ideal,
     buchberger,
-    ideal_equal,
-    ideal_intersection,
-    ideal_quotient,
     normal_form,
     reduced_basis,
 )
@@ -36,7 +32,6 @@ from .points import (
     all_projective_points,
     evaluation_matrix,
     format_points,
-    normalize,
     parse_points,
     projective_torus,
     vanishing_ideal,
@@ -47,7 +42,6 @@ from .polyring import (
     GRLEX,
     LEX,
     ORDERS,
-    EliminateLastOrder,
     Monomial,
     MonomialOrder,
     PolyParseError,
@@ -58,7 +52,6 @@ from .weights import (
     CandidateScan,
     FootprintProfile,
     WeightQuery,
-    candidate_membership_check,
     rgff,
     rgmdf,
     vasconcelos,
@@ -70,7 +63,6 @@ __all__ = [
     "BudgetExceededError",
     "CandidateScan",
     "DependentSubcodeError",
-    "EliminateLastOrder",
     "EvaluationCode",
     "FieldElement",
     "FootprintProfile",
@@ -97,15 +89,10 @@ __all__ = [
     "all_projective_points",
     "buchberger",
     "build_code",
-    "candidate_membership_check",
     "evaluation_matrix",
     "format_points",
-    "ideal_equal",
-    "ideal_intersection",
-    "ideal_quotient",
     "monomial_quotient_degree",
     "normal_form",
-    "normalize",
     "parse_points",
     "projective_torus",
     "reduced_basis",
@@ -113,7 +100,6 @@ __all__ = [
     "rgff",
     "rgmdf",
     "singleton_bound",
-    "subspace_support",
     "validate_subcode",
     "vanishing_ideal",
     "vasconcelos",

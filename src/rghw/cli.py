@@ -60,6 +60,7 @@ class QuerySpec:
 class ProblemConfig:
     q: int | None = None
     s: int | None = None
+    s_lineno: int | None = None
     source: str | None = None
     factors: tuple[tuple[int, ...], ...] | None = None
     points_file: str | None = None
@@ -127,6 +128,7 @@ def _apply_main_key(config: ProblemConfig, key: str, value: str, lineno: int):
         config.q = _parse_int(value, lineno, "q")
     elif key == "s":
         config.s = _parse_int(value, lineno, "s")
+        config.s_lineno = lineno
     elif key == "source":
         if value not in SOURCES:
             raise ConfigError(
@@ -156,6 +158,8 @@ def _apply_main_key(config: ProblemConfig, key: str, value: str, lineno: int):
         config.function_lineno = lineno
     elif key == "dmax":
         config.dmax = _parse_int(value, lineno, "dmax")
+        if config.dmax < 1:
+            raise ConfigError(f"line {lineno}: dmax must be at least 1, got {config.dmax}")
     elif key == "k1":
         config.k1 = _parse_int(value, lineno, "k1")
     elif key == "G":
@@ -194,6 +198,10 @@ def _validate_config(config: ProblemConfig):
     if config.source == "ideal":
         if config.s is None:
             raise ConfigError("ideal source needs s")
+        if config.s < 1:
+            raise ConfigError(
+                f"line {config.s_lineno}: ideal source needs s >= 1, got {config.s}"
+            )
         if not config.generators:
             raise ConfigError("ideal source needs generators")
     if config.factors is not None:
@@ -514,7 +522,7 @@ def cmd_matrix(problem: Problem, args) -> tuple[str, int]:
     except UnsupportedDimensionError as exc:
         raise ConfigError(str(exc)) from None
     dmax = config.dmax or summary.reg_index or 1
-    if config.k1 and dmax != 1 and config.dmax != 1:
+    if config.k1 and dmax != 1:
         raise ConfigError("matrix mode with k1 > 0 needs a single degree (set dmax = 1)")
     budget_hit = False
     per_d: list[tuple[int, int, object, object]] = []

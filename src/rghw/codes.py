@@ -1,15 +1,14 @@
 """Evaluation codes on projective point sets: generator matrices indexed by
-standard monomials, subcode validation, codeword supports, and relative
-generalized Hamming weights by exhaustive subspace enumeration."""
+standard monomials, subcode validation, and relative generalized Hamming
+weights by exhaustive subspace enumeration."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .groebner import Ideal
 from .linalg import kernel_basis, matrix_rank, require_exact_int64, rref
 from .points import ProjectivePointSet, evaluation_matrix
-from .polyring import GREVLEX, MonomialOrder, PolyRing, Polynomial
+from .polyring import GREVLEX, MonomialOrder, Polynomial
 
 
 class BudgetExceededError(RuntimeError):
@@ -152,17 +151,6 @@ def validate_subcode(code: EvaluationCode, polynomials) -> SubcodeSpec:
         raise ValueError(f"more generators than the code dimension {code.k}")
     reduced, _ = rref(A, q)
     return SubcodeSpec(code, polys, reduced)
-
-
-def subspace_support(rows, q: int) -> int:
-    """Support size of the row space: coordinates where some row is nonzero.
-    The rows must be an independent basis."""
-    rows = np.asarray(rows, dtype=np.int64) % q
-    if rows.ndim != 2 or rows.shape[0] == 0:
-        raise ValueError("need a nonempty list of rows")
-    if matrix_rank(rows, q) < rows.shape[0]:
-        raise ValueError("dependent basis rows")
-    return int((rows.any(axis=0)).sum())
 
 
 def rghw_bruteforce(

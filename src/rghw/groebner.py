@@ -1,18 +1,10 @@
 """Buchberger's algorithm with reduced bases, plus the graded ideal
-operations built on it: normal forms, initial ideals, Hilbert data,
-intersections, and colon ideals."""
+operations built on it: normal forms, initial ideals, and Hilbert data."""
 
 from __future__ import annotations
 
 from .monideal import GradedQuotientSummary, MonomialIdeal, monomial_quotient_degree
-from .polyring import (
-    GREVLEX,
-    EliminateLastOrder,
-    Monomial,
-    MonomialOrder,
-    PolyRing,
-    Polynomial,
-)
+from .polyring import GREVLEX, Monomial, MonomialOrder, PolyRing, Polynomial
 
 
 def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -42,23 +34,6 @@ def normal_form(f: Polynomial, divisors, order: MonomialOrder = GREVLEX) -> Poly
             remainder = remainder + work.ring.from_terms({lm: lc})
             work = work - work.ring.from_terms({lm: lc})
     return remainder
-
-
-def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
-    """Quotient f/g when g divides f exactly; raises otherwise."""
-    quotient = f.ring.zero()
-    work = f
-    glm = g.leading_monomial(order)
-    glc = g.leading_coefficient(order)
-    while not work.is_zero():
-        lm = work.leading_monomial(order)
-        if not glm.divides(lm):
-            raise ValueError(f"{g} does not divide {f}")
-        step = lm.divide_by(glm)
-        coeff = work.leading_coefficient(order) / glc
-        quotient = quotient + f.ring.from_terms({step: coeff})
-        work = work - g.scaled_shift(step, coeff)
-    return quotient
 
 
 def buchberger(gens, order: MonomialOrder = GREVLEX) -> list[Polynomial]:
@@ -173,11 +148,6 @@ class Ideal:
     def is_zero(self) -> bool:
         return not self.groebner_basis()
 
-    def is_graded(self) -> bool:
-        """True when every given generator is homogeneous (which makes the
-        ideal graded; the converse is not tested)."""
-        return all(g.is_homogeneous() for g in self.gens)
-
     def initial_ideal(self) -> MonomialIdeal:
         if self._initial is None:
             self._initial = MonomialIdeal(
@@ -205,66 +175,3 @@ class Ideal:
     def __repr__(self) -> str:
         inner = ", ".join(str(g) for g in self.gens)
         return f"Ideal({inner})"
-
-
-def _eliminate_last(ring_ext: PolyRing, gens, ring: PolyRing) -> list[Polynomial]:
-    """Groebner basis members free of the last (auxiliary) variable, mapped
-    back down to the original ring."""
-    order = EliminateLastOrder()
-    gb = reduced_basis(buchberger(gens, order), order)
-    out = []
-    for g in gb:
-        if g.leading_monomial(order).exponents[-1] == 0:
-            out.append(
-                ring.from_terms(
-                    {Monomial(m.exponents[:-1]): c for m, c in g.terms.items()}
-                )
-            )
-    return out
-
-
-def _lift(f: Polynomial, ring_ext: PolyRing) -> Polynomial:
-    return ring_ext.from_terms(
-        {Monomial(m.exponents + (0,)): c for m, c in f.terms.items()}
-    )
-
-
-def ideal_intersection(left: Ideal, right: Ideal) -> Ideal:
-    """I intersect J, via the auxiliary-variable trick: eliminate w from
-    w*I + (1-w)*J.  Both inputs must be graded; each eliminated generator is
-    split into homogeneous components, which still generate because the
-    intersection of graded ideals is graded."""
-    ring = left.ring
-    if right.ring != ring:
-        raise ValueError("ideals from different rings")
-    if not (left.is_graded() and right.is_graded()):
-        raise ValueError("intersection requires homogeneous generators")
-    ext = PolyRing(ring.field, ring.nvars + 1)
-    w = ext.gens()[-1]
-    gens = [_lift(g, ext) * w for g in left.gens]
-    gens += [_lift(g, ext) * (ext.one() - w) for g in right.gens]
-    projected = _eliminate_last(ext, gens, ring)
-    split = [comp for g in projected for comp in g.homogeneous_components()]
-    return Ideal(ring, split, left.order)
-
-
-def ideal_quotient(ideal: Ideal, polys) -> Ideal:
-    """The colon ideal (I : (f1..fr)) = {g : g*fi in I for every i},
-    computed one fi at a time via (I : f) = (I intersect (f)) / f."""
-    polys = [ideal.ring.parse(f) if isinstance(f, str) else f for f in polys]
-    if not polys or any(f.is_zero() for f in polys):
-        raise ValueError("colon requires nonzero polynomials")
-    result: Ideal | None = None
-    for f in polys:
-        meet = ideal_intersection(ideal, Ideal(ideal.ring, [f], ideal.order))
-        single = Ideal(
-            ideal.ring,
-            [exact_divide(g, f, ideal.order) for g in meet.groebner_basis()],
-            ideal.order,
-        )
-        result = single if result is None else ideal_intersection(result, single)
-    return result
-
-
-def ideal_equal(left: Ideal, right: Ideal) -> bool:
-    return all(g in right for g in left.gens) and all(g in left for g in right.gens)

@@ -1,5 +1,5 @@
-"""Monomial ideals and their quotients: minimal generators, colon ideals,
-Hilbert functions, and degree computations when S/J has Krull dimension at
+"""Monomial ideals and their quotients: minimal generators, Hilbert
+functions, and degree computations when S/J has Krull dimension at
 most one.  The FootprintRays engine turns repeated queries of the form
 deg S/(J + (M)) and (J : (M)) != J into bitmask operations."""
 
@@ -53,10 +53,6 @@ class MonomialIdeal:
             mons.append(m)
         self.gens = self._minimalize(mons)
 
-    @property
-    def minimal_generators(self) -> tuple[Monomial, ...]:
-        return self.gens
-
     @staticmethod
     def _minimalize(mons) -> tuple[Monomial, ...]:
         mons = sorted(set(mons), key=lambda m: (m.degree, m.exponents))
@@ -81,32 +77,6 @@ class MonomialIdeal:
         """The sum J + (monomials)."""
         extra = monomials.gens if isinstance(monomials, MonomialIdeal) else monomials
         return MonomialIdeal(self.nvars, list(self.gens) + list(extra))
-
-    def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._check(other)
-        if self.is_zero() or other.is_zero():
-            return MonomialIdeal(self.nvars)
-        return MonomialIdeal(
-            self.nvars, [a.lcm(b) for a in self.gens for b in other.gens]
-        )
-
-    def quotient_by_monomial(self, m: Monomial) -> "MonomialIdeal":
-        """The colon ideal (J : m) = {f : f*m in J}."""
-        if not isinstance(m, Monomial) or len(m.exponents) != self.nvars:
-            raise ValueError(f"expected a monomial in {self.nvars} variables")
-        return MonomialIdeal(
-            self.nvars, [g.divide_by(g.gcd(m)) for g in self.gens]
-        )
-
-    def quotient_by_set(self, monomials) -> "MonomialIdeal":
-        """(J : (m1, .., mk)), the intersection of the single colon ideals."""
-        mons = list(monomials)
-        if not mons:
-            raise ValueError("colon by an empty set of monomials")
-        result = self.quotient_by_monomial(mons[0])
-        for m in mons[1:]:
-            result = result.intersect(self.quotient_by_monomial(m))
-        return result
 
     def pure_power_exponents(self) -> list[int | None]:
         """For each variable, the exponent of its pure power among the
@@ -168,10 +138,6 @@ class MonomialIdeal:
 
     def hilbert_function(self, d: int) -> int:
         return len(self.degree_slice(d))
-
-    def _check(self, other: "MonomialIdeal"):
-        if not isinstance(other, MonomialIdeal) or other.nvars != self.nvars:
-            raise ValueError("monomial ideals over different variable counts")
 
     def __eq__(self, other) -> bool:
         return (

@@ -56,11 +56,6 @@ class ProjectivePoint:
         return "[" + ":".join(str(v) for v in self.values) + "]"
 
 
-def normalize(field: PrimeField, coordinates) -> ProjectivePoint:
-    """Standard-position representative of a coordinate vector."""
-    return ProjectivePoint(field, coordinates)
-
-
 class ProjectivePointSet:
     """An ordered list of distinct projective points.  The order fixes the
     codeword coordinate layout and is never changed after construction."""

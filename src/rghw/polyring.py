@@ -122,20 +122,6 @@ GRLEX = _Grlex()
 ORDERS = {"grevlex": GREVLEX, "lex": LEX, "grlex": GRLEX}
 
 
-class EliminateLastOrder(MonomialOrder):
-    """Block order that eliminates the last variable: compare its exponent
-    first, break ties by grevlex on the remaining variables.  Any monomial
-    containing the last variable is greater than any monomial without it, so
-    a leading monomial free of it certifies the whole polynomial is."""
-
-    name = "eliminate-last"
-
-    def key(self, monomial: Monomial):
-        e = monomial.exponents
-        front = e[:-1]
-        return (e[-1], sum(front), tuple(-x for x in reversed(front)))
-
-
 class PolyParseError(ValueError):
     """Syntax or semantic error in polynomial text, with a byte offset."""
 
@@ -363,12 +349,6 @@ class Polynomial:
         if len(degrees) != 1:
             raise ValueError(f"polynomial is not homogeneous: {self}")
         return degrees.pop()
-
-    def homogeneous_components(self) -> list["Polynomial"]:
-        by_degree: dict[int, dict] = {}
-        for m, c in self.terms.items():
-            by_degree.setdefault(m.degree, {})[m] = c
-        return [Polynomial(self.ring, by_degree[d]) for d in sorted(by_degree)]
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
         if not self.terms:

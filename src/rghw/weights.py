@@ -17,9 +17,7 @@ from .codes import (
 )
 from .groebner import Ideal
 from .linalg import gaussian_binomial, require_exact_int64
-from .monideal import FootprintRays, MonomialIdeal
-from .points import zero_set
-from .polyring import Monomial, Polynomial
+from .monideal import FootprintRays
 
 
 class WeightQuery:
@@ -335,31 +333,3 @@ def vasconcelos(query: WeightQuery, budget: int = 10**7) -> int:
     """Colon-degree weight: the smallest count of points left alive by an
     admissible subspace; deg(S/I) when no subspace is admissible."""
     return CandidateScan(query, budget).theta
-
-
-def candidate_membership_check(code: EvaluationCode, items):
-    """Admissibility test with a witness.
-
-    For polynomials: whether the common zero set on X is nonempty; the
-    witness is its first point.  For monomials: whether coloning the initial
-    ideal by the set enlarges it; the witness is a standard monomial landing
-    inside the initial ideal under every member."""
-    items = list(items)
-    if not items:
-        raise ValueError("empty candidate set")
-    if all(isinstance(m, Monomial) for m in items):
-        initial = code.ideal.initial_ideal()
-        engine = FootprintRays(initial)
-        acc = -1
-        for m in items:
-            acc &= engine.witness_mask(m)
-        if acc == 0:
-            return False, None
-        low = (acc & -acc).bit_length() - 1
-        return True, Monomial(engine.witness_cells[low])
-    if all(isinstance(p, Polynomial) for p in items):
-        V = zero_set(code.X, items)
-        if V:
-            return True, V[0]
-        return False, None
-    raise ValueError("mix of monomials and polynomials in candidate set")

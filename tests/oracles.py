@@ -1,23 +1,235 @@
-"""Shared reference constructions used by the acceptance tests: independent
-slow routes to the same quantities the package computes."""
+"""Independent slow routes to the quantities the package computes, used only
+by the tests.
+
+Besides the reference scans below, this module holds the general ideal
+algebra that the package no longer needs: exact polynomial division,
+homogeneous components, the last-variable elimination order, ideal
+intersections and colon ideals by elimination, ideal equality, monomial
+intersections and colon ideals, and the enumerations of F_q^n, of
+projective representatives and of every r-dimensional subspace of F_q^k."""
+
+from itertools import combinations
 
 import numpy as np
 
 from rghw.codes import BudgetExceededError, build_code, validate_subcode
 from rghw.field import PrimeField
-from rghw.groebner import Ideal, ideal_intersection
-from rghw.linalg import (
-    all_vectors,
-    gaussian_binomial,
-    iter_subspace_batches,
-    kernel_basis,
-    matrix_rank,
-    projective_reps,
-    rref,
-)
-from rghw.monideal import FootprintRays
+from rghw.groebner import Ideal, buchberger, reduced_basis
+from rghw.linalg import gaussian_binomial, kernel_basis, matrix_rank, rref
+from rghw.monideal import FootprintRays, MonomialIdeal
 from rghw.points import ProjectivePointSet, all_projective_points, evaluation_matrix
-from rghw.polyring import PolyRing
+from rghw.polyring import GREVLEX, Monomial, MonomialOrder, PolyRing, Polynomial
+
+
+# --- polynomial and ideal algebra -------------------------------------------
+
+
+class EliminateLastOrder(MonomialOrder):
+    """Block order that eliminates the last variable: compare its exponent
+    first, break ties by grevlex on the remaining variables.  Any monomial
+    containing the last variable is greater than any monomial without it, so
+    a leading monomial free of it certifies the whole polynomial is."""
+
+    name = "eliminate-last"
+
+    def key(self, monomial: Monomial):
+        e = monomial.exponents
+        front = e[:-1]
+        return (e[-1], sum(front), tuple(-x for x in reversed(front)))
+
+
+def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
+    """Quotient f/g when g divides f exactly; raises otherwise."""
+    quotient = f.ring.zero()
+    work = f
+    glm = g.leading_monomial(order)
+    glc = g.leading_coefficient(order)
+    while not work.is_zero():
+        lm = work.leading_monomial(order)
+        if not glm.divides(lm):
+            raise ValueError(f"{g} does not divide {f}")
+        step = lm.divide_by(glm)
+        coeff = work.leading_coefficient(order) / glc
+        quotient = quotient + f.ring.from_terms({step: coeff})
+        work = work - g.scaled_shift(step, coeff)
+    return quotient
+
+
+def homogeneous_components(f: Polynomial) -> list[Polynomial]:
+    """The homogeneous parts of f, by increasing degree."""
+    by_degree: dict[int, dict] = {}
+    for m, c in f.terms.items():
+        by_degree.setdefault(m.degree, {})[m] = c
+    return [Polynomial(f.ring, by_degree[d]) for d in sorted(by_degree)]
+
+
+def is_graded(ideal: Ideal) -> bool:
+    """True when every given generator is homogeneous (which makes the
+    ideal graded; the converse is not tested)."""
+    return all(g.is_homogeneous() for g in ideal.gens)
+
+
+def _eliminate_last(gens, ring: PolyRing) -> list[Polynomial]:
+    """Groebner basis members free of the last (auxiliary) variable, mapped
+    back down to the original ring."""
+    order = EliminateLastOrder()
+    gb = reduced_basis(buchberger(gens, order), order)
+    out = []
+    for g in gb:
+        if g.leading_monomial(order).exponents[-1] == 0:
+            out.append(
+                ring.from_terms(
+                    {Monomial(m.exponents[:-1]): c for m, c in g.terms.items()}
+                )
+            )
+    return out
+
+
+def _lift(f: Polynomial, ring_ext: PolyRing) -> Polynomial:
+    return ring_ext.from_terms(
+        {Monomial(m.exponents + (0,)): c for m, c in f.terms.items()}
+    )
+
+
+def ideal_intersection(left: Ideal, right: Ideal) -> Ideal:
+    """I intersect J, via the auxiliary-variable trick: eliminate w from
+    w*I + (1-w)*J.  Both inputs must be graded; each eliminated generator is
+    split into homogeneous components, which still generate because the
+    intersection of graded ideals is graded."""
+    ring = left.ring
+    if right.ring != ring:
+        raise ValueError("ideals from different rings")
+    if not (is_graded(left) and is_graded(right)):
+        raise ValueError("intersection requires homogeneous generators")
+    ext = PolyRing(ring.field, ring.nvars + 1)
+    w = ext.gens()[-1]
+    gens = [_lift(g, ext) * w for g in left.gens]
+    gens += [_lift(g, ext) * (ext.one() - w) for g in right.gens]
+    projected = _eliminate_last(gens, ring)
+    split = [comp for g in projected for comp in homogeneous_components(g)]
+    return Ideal(ring, split, left.order)
+
+
+def ideal_quotient(ideal: Ideal, polys) -> Ideal:
+    """The colon ideal (I : (f1..fr)) = {g : g*fi in I for every i},
+    computed one fi at a time via (I : f) = (I intersect (f)) / f."""
+    polys = [ideal.ring.parse(f) if isinstance(f, str) else f for f in polys]
+    if not polys or any(f.is_zero() for f in polys):
+        raise ValueError("colon requires nonzero polynomials")
+    result: Ideal | None = None
+    for f in polys:
+        meet = ideal_intersection(ideal, Ideal(ideal.ring, [f], ideal.order))
+        single = Ideal(
+            ideal.ring,
+            [exact_divide(g, f, ideal.order) for g in meet.groebner_basis()],
+            ideal.order,
+        )
+        result = single if result is None else ideal_intersection(result, single)
+    return result
+
+
+def ideal_equal(left: Ideal, right: Ideal) -> bool:
+    return all(g in right for g in left.gens) and all(g in left for g in right.gens)
+
+
+def monomial_intersection(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal:
+    """J intersect K, generated by the pairwise lcms of the generators."""
+    if not isinstance(right, MonomialIdeal) or right.nvars != left.nvars:
+        raise ValueError("monomial ideals over different variable counts")
+    if left.is_zero() or right.is_zero():
+        return MonomialIdeal(left.nvars)
+    return MonomialIdeal(
+        left.nvars, [a.lcm(b) for a in left.gens for b in right.gens]
+    )
+
+
+def quotient_by_monomial(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
+    """The colon ideal (J : m) = {f : f*m in J}."""
+    if not isinstance(m, Monomial) or len(m.exponents) != ideal.nvars:
+        raise ValueError(f"expected a monomial in {ideal.nvars} variables")
+    return MonomialIdeal(ideal.nvars, [g.divide_by(g.gcd(m)) for g in ideal.gens])
+
+
+def quotient_by_set(ideal: MonomialIdeal, monomials) -> MonomialIdeal:
+    """(J : (m1, .., mk)), the intersection of the single colon ideals."""
+    mons = list(monomials)
+    if not mons:
+        raise ValueError("colon by an empty set of monomials")
+    result = quotient_by_monomial(ideal, mons[0])
+    for m in mons[1:]:
+        result = monomial_intersection(result, quotient_by_monomial(ideal, m))
+    return result
+
+
+# --- vector and subspace enumeration over F_q --------------------------------
+
+
+def all_vectors(n: int, q: int) -> np.ndarray:
+    """All q^n vectors of F_q^n, one per row, in base-q counting order."""
+    if n == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    idx = np.arange(q**n, dtype=np.int64)
+    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return idx[:, None] // powers[None, :] % q
+
+
+def projective_reps(r: int, q: int) -> np.ndarray:
+    """One representative per line of F_q^r: first nonzero entry scaled to 1.
+    Shape ((q^r - 1) // (q - 1), r)."""
+    blocks = []
+    for j in range(r):
+        tail = all_vectors(r - 1 - j, q)
+        block = np.zeros((tail.shape[0], r), dtype=np.int64)
+        block[:, j] = 1
+        block[:, j + 1 :] = tail
+        blocks.append(block)
+    return np.concatenate(blocks, axis=0)
+
+
+def iter_subspace_batches(k: int, r: int, q: int, max_batch: int = 4096):
+    """Enumerate every r-dimensional subspace of F_q^k exactly once.
+
+    Yields int64 arrays of shape (B, r, k) with B <= max_batch; each slice
+    [b] is the reduced row echelon basis of one subspace.
+    """
+    if r == 0:
+        yield np.zeros((1, 0, k), dtype=np.int64)
+        return
+    for pattern in combinations(range(k), r):
+        pivot_set = set(pattern)
+        free = [
+            (i, j)
+            for i, p in enumerate(pattern)
+            for j in range(p + 1, k)
+            if j not in pivot_set
+        ]
+        total = q ** len(free)
+        base = np.zeros((r, k), dtype=np.int64)
+        for i, p in enumerate(pattern):
+            base[i, p] = 1
+        start = 0
+        while start < total:
+            stop = min(start + max_batch, total)
+            idx = np.arange(start, stop, dtype=np.int64)
+            batch = np.broadcast_to(base, (stop - start, r, k)).copy()
+            for slot, (i, j) in enumerate(free):
+                batch[:, i, j] = idx // q**slot % q
+            yield batch
+            start = stop
+
+
+def subspace_support(rows, q: int) -> int:
+    """Support size of the row space: coordinates where some row is nonzero.
+    The rows must be an independent basis."""
+    rows = np.asarray(rows, dtype=np.int64) % q
+    if rows.ndim != 2 or rows.shape[0] == 0:
+        raise ValueError("need a nonempty list of rows")
+    if matrix_rank(rows, q) < rows.shape[0]:
+        raise ValueError("dependent basis rows")
+    return int((rows.any(axis=0)).sum())
+
+
+# --- reference routes ---------------------------------------------------------
 
 
 def minimum_distance_scan(code):

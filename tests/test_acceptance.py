@@ -7,6 +7,7 @@ from contextlib import contextmanager
 
 from oracles import (
     full_space_rgmdf,
+    ideal_equal,
     intersection_of_point_ideals,
     random_subcode,
     sample_instance,
@@ -14,7 +15,7 @@ from oracles import (
 
 from rghw.codes import build_code, rghw_bruteforce, singleton_bound, validate_subcode
 from rghw.field import PrimeField
-from rghw.groebner import Ideal, ideal_equal
+from rghw.groebner import Ideal
 from rghw.linalg import gaussian_binomial
 from rghw.points import (
     ProjectivePointSet,

@@ -252,6 +252,26 @@ def test_r_out_of_range_is_config_error(capsys, tmp_path):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize("dmax", [-1, 0])
+def test_dmax_below_one_is_config_error(capsys, tmp_path, dmax):
+    # dmax = 0 must not read as unset, nor a negative dmax reach the grid code
+    (tmp_path / "t.cfg").write_text(TORUS2_IDEAL_CFG.replace("dmax = 6", f"dmax = {dmax}"))
+    for command in ("matrix", "hilbert"):
+        code, out, err = run(capsys, [command, "--config", str(tmp_path / "t.cfg")])
+        assert code == 2 and out == ""
+        assert err == f"config error: line 8: dmax must be at least 1, got {dmax}\n"
+
+
+@pytest.mark.parametrize("command", ["hilbert", "matrix", "vanishing-ideal"])
+def test_ideal_source_without_variables_is_config_error(capsys, tmp_path, command):
+    (tmp_path / "t.cfg").write_text(
+        "q = 5\ns = 0\nsource = ideal\ngenerators = t1\nfunction = fp\n"
+    )
+    code, out, err = run(capsys, [command, "--config", str(tmp_path / "t.cfg")])
+    assert code == 2 and out == ""
+    assert err == "config error: line 2: ideal source needs s >= 1, got 0\n"
+
+
 def test_k1_g_mismatch_is_config_error():
     with pytest.raises(ConfigError, match="k1 = 2 but G lists 1"):
         parse_config("q = 3\ns = 4\nsource = torus\n\n[query]\nd = 1\nk1 = 2\nG = t1\n")

@@ -1,5 +1,5 @@
 """Weight functions on degree slices: footprint lower bound, degree-drop and
-colon-degree enumerations, membership witnesses, and the full-space oracle.
+colon-degree enumerations, and the full-space oracle.
 
 The enumeration routes use evaluation counts; several tests here recompute
 the same quantities through Groebner degrees of (I, F) and (I : F) to pin the
@@ -13,14 +13,17 @@ import pytest
 from oracles import (
     footprint_by_subset_walk,
     full_space_rgmdf,
+    ideal_quotient,
+    iter_subspace_batches,
+    quotient_by_set,
     random_subcode,
     rghw_by_support_scan,
 )
 
 from rghw.codes import BudgetExceededError, build_code, rghw_bruteforce, validate_subcode
 from rghw.field import PrimeField
-from rghw.groebner import Ideal, ideal_quotient
-from rghw.linalg import gaussian_binomial, iter_subspace_batches
+from rghw.groebner import Ideal
+from rghw.linalg import gaussian_binomial
 from rghw.monideal import FootprintRays, MonomialIdeal, monomial_quotient_degree
 from rghw.points import (
     ProjectivePointSet,
@@ -33,7 +36,6 @@ from rghw.weights import (
     CandidateScan,
     FootprintProfile,
     WeightQuery,
-    candidate_membership_check,
     rgff,
     rgmdf,
     vasconcelos,
@@ -110,7 +112,7 @@ def test_footprint_profile_against_subset_enumeration(seed=70111):
             best = None
             count = 0
             for subset in itertools.combinations(pool, r):
-                if initial.quotient_by_set(subset) == initial:
+                if quotient_by_set(initial, subset) == initial:
                     continue
                 count += 1
                 score = monomial_quotient_degree(initial, subset).degree
@@ -355,36 +357,6 @@ def test_candidate_counts_are_within_bounds():
         scan = CandidateScan(WeightQuery(code, r, sub))
         assert scan.family_count <= gaussian_binomial(code.k, r, code.q)
     assert [profile.candidate_count(r) for r in (1, 2, 3)] == [3, 3, 1]
-
-
-def test_membership_check_polynomials():
-    code = build_code(projective_torus(3, 4), 1)
-    ok, witness = candidate_membership_check(code, [code.ring.parse("t1 - t2")])
-    assert ok and witness.values == (1, 1, 1, 1)
-    code2 = build_code(projective_torus(5, 3), 1)
-    ok, witness = candidate_membership_check(code2, [code2.ring.parse("t1")])
-    assert not ok and witness is None
-
-
-def test_membership_check_monomials():
-    code = build_code(projective_torus(3, 4), 1)
-    ok, witness = candidate_membership_check(code, [Monomial((0, 1, 0, 0))])
-    assert ok
-    # the witness stays standard but is pushed inside the initial ideal
-    initial = code.ideal.initial_ideal()
-    assert not any(g.divides(witness) for g in initial.gens)
-    shifted = witness * Monomial((0, 1, 0, 0))
-    assert any(g.divides(shifted) for g in initial.gens)
-    ok, witness = candidate_membership_check(code, [Monomial((0, 0, 0, 1))])
-    assert not ok and witness is None
-
-
-def test_membership_check_rejects_mixes():
-    code = build_code(projective_torus(3, 4), 1)
-    with pytest.raises(ValueError):
-        candidate_membership_check(code, [])
-    with pytest.raises(ValueError):
-        candidate_membership_check(code, [Monomial((1, 0, 0, 0)), code.ring.parse("t1")])
 
 
 def test_full_space_oracle_agrees(seed=83265):
