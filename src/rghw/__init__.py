@@ -11,7 +11,7 @@ from .codes import (
     singleton_bound,
     validate_subcode,
 )
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 from .groebner import (
     Ideal,
     buchberger,
@@ -64,7 +64,6 @@ __all__ = [
     "CandidateScan",
     "DependentSubcodeError",
     "EvaluationCode",
-    "FieldElement",
     "FootprintProfile",
     "FootprintRays",
     "GradedQuotientSummary",

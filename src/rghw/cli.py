@@ -51,7 +51,6 @@ class QuerySpec:
     lineno: int
     d_range: tuple[int, int] | None = None
     r_range: tuple[int, int] | None = None  # None means "all"
-    r_given: bool = False
     k1: int = 0
     g_strings: tuple[str, ...] = ()
 
@@ -173,7 +172,6 @@ def _apply_query_key(query: QuerySpec, key: str, value: str, lineno: int):
         query.d_range = _parse_range(value, lineno, "d", allow_all=False)
     elif key == "r":
         query.r_range = _parse_range(value, lineno, "r", allow_all=True)
-        query.r_given = True
     elif key == "k1":
         query.k1 = _parse_int(value, lineno, "k1")
         if query.k1 < 0:

@@ -67,14 +67,7 @@ class EvaluationCode:
         return self.X.field.q
 
     def coefficients_to_polynomial(self, coeffs) -> Polynomial:
-        field = self.X.field
-        return self.ring.from_terms(
-            {
-                m: field(int(c))
-                for m, c in zip(self.standard_monomials, coeffs)
-                if int(c) % field.q
-            }
-        )
+        return self.ring.from_terms(dict(zip(self.standard_monomials, coeffs)))
 
     def polynomial_to_coefficients(self, poly: Polynomial) -> np.ndarray:
         """Coefficient vector of the normal form over the standard-monomial
@@ -87,7 +80,7 @@ class EvaluationCode:
                 raise ValueError(
                     f"{poly.format()} is not homogeneous of degree {self.d} modulo the ideal"
                 )
-            out[index[mono]] = coeff.value
+            out[index[mono]] = coeff
         return out
 
     def __repr__(self) -> str:
@@ -115,11 +108,6 @@ class SubcodeSpec:
             evaluation_matrix(code.X, self.normalized)
             if self.k1
             else np.zeros((0, code.n), dtype=np.int64)
-        )
-
-    def leading_monomials(self):
-        return tuple(
-            p.leading_monomial(self.code.order) for p in self.normalized
         )
 
     def __repr__(self) -> str:

@@ -1,4 +1,7 @@
-"""Exact arithmetic in a prime field F_q."""
+"""The prime modulus of F_q.
+
+Field elements are plain Python ints in [0, q) throughout the package;
+`PrimeField` only checks that q is prime and carries it."""
 
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ def _is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """The field of integers modulo a prime q."""
+    """The field of integers modulo a prime q; its elements are ints in [0, q)."""
 
     __slots__ = ("q",)
 
@@ -48,22 +51,6 @@ class PrimeField:
             raise ValueError(f"modulus must be a prime number, got {q}")
         self.q = q
 
-    def __call__(self, value: int) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise ValueError(f"modulus mismatch: {value.field.q} vs {self.q}")
-            return value
-        return FieldElement(int(value) % self.q, self)
-
-    def zero(self) -> "FieldElement":
-        return self(0)
-
-    def one(self) -> "FieldElement":
-        return self(1)
-
-    def elements(self) -> list["FieldElement"]:
-        return [self(v) for v in range(self.q)]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.q == self.q
 
@@ -72,101 +59,3 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"PrimeField({self.q})"
-
-
-class FieldElement:
-    """An element of a PrimeField, stored as a canonical representative in [0, q)."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        self.value = value % field.q
-        self.field = field
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError(
-                    f"modulus mismatch: {self.field.q} vs {other.field.q}"
-                )
-            return other
-        if isinstance(other, int):
-            return FieldElement(other, self.field)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value + other.value, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value - other.value, self.field)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(other.value - self.value, self.field)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * other.value, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.field)
-
-    def inv(self) -> "FieldElement":
-        """Multiplicative inverse via Fermat's little theorem."""
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero in a prime field")
-        return FieldElement(pow(self.value, self.field.q - 2, self.field.q), self.field)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inv()
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inv() ** (-exponent)
-        return FieldElement(pow(self.value, exponent, self.field.q), self.field)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError(f"modulus mismatch: {self.field.q} vs {other.field.q}")
-            return other.value == self.value
-        if isinstance(other, int):
-            return self.value == other % self.field.q
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.field.q))
-
-    def __repr__(self) -> str:
-        return f"{self.value}"

@@ -10,25 +10,30 @@ from .polyring import GREVLEX, Monomial, MonomialOrder, PolyRing, Polynomial
 def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     lf, lg = f.leading_monomial(order), g.leading_monomial(order)
     lcm = lf.lcm(lg)
+    q = f.ring.q
     cf, cg = f.leading_coefficient(order), g.leading_coefficient(order)
-    return f.scaled_shift(lcm.divide_by(lf), cf.inv()) - g.scaled_shift(
-        lcm.divide_by(lg), cg.inv()
+    return f.scaled_shift(lcm.divide_by(lf), pow(cf, -1, q)) - g.scaled_shift(
+        lcm.divide_by(lg), pow(cg, -1, q)
     )
 
 
 def normal_form(f: Polynomial, divisors, order: MonomialOrder = GREVLEX) -> Polynomial:
     """Remainder of f under full division by the divisor list: no monomial of
     the result is divisible by any divisor's leading monomial."""
-    divisors = [d for d in divisors if not d.is_zero()]
-    leads = [(d.leading_monomial(order), d.leading_coefficient(order), d) for d in divisors]
+    q = f.ring.q
+    leads = [
+        (d.leading_monomial(order), pow(d.leading_coefficient(order), -1, q), d)
+        for d in divisors
+        if not d.is_zero()
+    ]
     remainder = f.ring.zero()
     work = f
     while not work.is_zero():
         lm = work.leading_monomial(order)
         lc = work.leading_coefficient(order)
-        for dlm, dlc, d in leads:
+        for dlm, dinv, d in leads:
             if dlm.divides(lm):
-                work = work - d.scaled_shift(lm.divide_by(dlm), lc / dlc)
+                work = work - d.scaled_shift(lm.divide_by(dlm), lc * dinv)
                 break
         else:
             remainder = remainder + work.ring.from_terms({lm: lc})

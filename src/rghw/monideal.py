@@ -265,13 +265,6 @@ class FootprintRays:
             if not ideal.contains(Monomial(v))
         ]
 
-    def stable_degree(self) -> int:
-        """deg S/J: ray count in dimension one, footprint size in dimension
-        zero (no rays)."""
-        if self.ray_cells:
-            return len(self.ray_cells)
-        return monomial_quotient_degree(self.ideal).degree
-
     def survival_mask(self, monomial: Monomial) -> int:
         """Bit b set when ray cell b stays standard in S/(J + (monomial)).
 

@@ -8,7 +8,7 @@ from itertools import product
 
 import numpy as np
 
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 from .groebner import Ideal
 from .linalg import require_exact_int64, rref
 from .monideal import MonomialIdeal, monomial_quotient_degree
@@ -16,13 +16,13 @@ from .polyring import GREVLEX, Monomial, MonomialOrder, PolyRing, Polynomial
 
 
 class ProjectivePoint:
-    """A point of P^{s-1} stored in standard position: coordinates are
-    scaled so the first nonzero one equals 1."""
+    """A point of P^{s-1} stored in standard position: coordinates are ints
+    in [0, q), scaled so the first nonzero one equals 1."""
 
-    __slots__ = ("field", "coordinates", "values")
+    __slots__ = ("field", "values")
 
     def __init__(self, field: PrimeField, coordinates):
-        values = [field(c).value for c in coordinates]
+        values = [int(c) % field.q for c in coordinates]
         if not any(values):
             raise ValueError("projective point needs a nonzero coordinate")
         first = next(v for v in values if v)
@@ -31,16 +31,15 @@ class ProjectivePoint:
             values = [v * scale % field.q for v in values]
         self.field = field
         self.values = tuple(values)
-        self.coordinates = tuple(field(v) for v in values)
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __iter__(self):
-        return iter(self.coordinates)
+        return iter(self.values)
 
-    def __getitem__(self, i) -> FieldElement:
-        return self.coordinates[i]
+    def __getitem__(self, i) -> int:
+        return self.values[i]
 
     def __eq__(self, other) -> bool:
         return (
@@ -122,7 +121,7 @@ def affine_cartesian(q: int, factors) -> ProjectivePointSet:
     field = PrimeField(q)
     sets = []
     for i, A in enumerate(factors):
-        vals = sorted({field(a).value for a in A})
+        vals = sorted({int(a) % q for a in A})
         if not vals:
             raise ValueError(f"factor {i + 1} is empty")
         sets.append(vals)
@@ -229,7 +228,7 @@ def evaluation_matrix(X: ProjectivePointSet, basis) -> np.ndarray:
         else:
             acc = np.zeros(len(X), dtype=np.int64)
             for mono, coeff in b.terms.items():
-                acc = (acc + coeff.value * _monomial_row(X, mono.exponents)) % q
+                acc = (acc + coeff * _monomial_row(X, mono.exponents)) % q
             rows[i] = acc
     return rows
 
@@ -254,7 +253,7 @@ def vanishing_ideal(X: ProjectivePointSet, order: MonomialOrder = GREVLEX) -> Id
     certificate must hold by then; failing it raises RuntimeError.
     """
     ring = PolyRing(X.field, X.s)
-    field = X.field
+    q = X.field.q
     n = len(X)
     basis: list[Polynomial] = []
     leads: list[Monomial] = []
@@ -263,7 +262,7 @@ def vanishing_ideal(X: ProjectivePointSet, order: MonomialOrder = GREVLEX) -> Id
     while True:
         d += 1
         monomials = order.sorted(ring.monomials_of_degree(d))
-        R, pivots = rref(evaluation_matrix(X, monomials).T, field.q)
+        R, pivots = rref(evaluation_matrix(X, monomials).T, q)
         if rank_reached is None and len(pivots) == n:
             rank_reached = d
         pivot_set = set(pivots)
@@ -271,12 +270,12 @@ def vanishing_ideal(X: ProjectivePointSet, order: MonomialOrder = GREVLEX) -> Id
         for col, m in enumerate(monomials):
             if col in pivot_set or any(lm.divides(m) for lm in leads):
                 continue
-            terms = {m: field.one()}
+            terms = {m: 1}
             for i, pc in enumerate(pivots):
                 if pc > col:
                     break
                 if R[i, col]:
-                    terms[monomials[pc]] = field(-int(R[i, col]))
+                    terms[monomials[pc]] = q - int(R[i, col])
             basis.append(Polynomial(ring, terms))
             leads.append(m)
         if rank_reached is not None:

@@ -1,12 +1,16 @@
 """Multivariate polynomial ring K[t1..ts] over a prime field, with selectable
-monomial orders and a text grammar for reading and printing polynomials."""
+monomial orders and a text grammar for reading and printing polynomials.
+
+A polynomial maps monomials to coefficients that are plain ints in [1, q):
+every operation reduces mod q and drops the zeros."""
 
 from __future__ import annotations
 
 import re
+from operator import index
 from itertools import combinations_with_replacement
 
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 
 EXPONENT_CAP = 10**6
 
@@ -177,12 +181,14 @@ class PolyRing:
         return self.from_terms({self.one_monomial(): c})
 
     def from_terms(self, terms) -> "Polynomial":
-        """Build a polynomial from {Monomial: coefficient}, dropping zeros."""
+        """Build a polynomial from {Monomial: integer coefficient}, reducing
+        mod q and dropping zeros.  A non-integer coefficient raises TypeError."""
+        q = self.field.q
         clean = {}
         for mon, coeff in terms.items():
             mon = self.monomial(mon)
-            coeff = self.field(coeff)
-            if not coeff.is_zero():
+            coeff = index(coeff) % q
+            if coeff:
                 clean[mon] = coeff
         return Polynomial(self, clean)
 
@@ -233,41 +239,35 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def _coerce_scalar(self, other):
-        if isinstance(other, (int, FieldElement)):
-            return self.ring.field(other)
-        return None
-
     def __add__(self, other):
         if isinstance(other, Polynomial):
             if other.ring != self.ring:
                 raise ValueError("polynomials from different rings")
+            q = self.ring.q
             merged = dict(self.terms)
             for mon, coeff in other.terms.items():
-                acc = merged.get(mon)
-                s = coeff if acc is None else acc + coeff
-                if s.is_zero():
-                    merged.pop(mon, None)
-                else:
+                s = (merged.get(mon, 0) + coeff) % q
+                if s:
                     merged[mon] = s
+                else:
+                    merged.pop(mon, None)
             return Polynomial(self.ring, merged)
-        c = self._coerce_scalar(other)
-        if c is None:
+        if not isinstance(other, int):
             return NotImplemented
-        return self + self.ring.constant(c)
+        return self + self.ring.constant(other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
+        q = self.ring.q
+        return Polynomial(self.ring, {m: q - c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, Polynomial):
             return self + (-other)
-        c = self._coerce_scalar(other)
-        if c is None:
+        if not isinstance(other, int):
             return NotImplemented
-        return self + self.ring.constant(-c)
+        return self + self.ring.constant(-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -280,20 +280,15 @@ class Polynomial:
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
                     mon = m1 * m2
-                    prod = c1 * c2
-                    acc = out.get(mon)
-                    s = prod if acc is None else acc + prod
-                    if s.is_zero():
-                        out.pop(mon, None)
-                    else:
-                        out[mon] = s
-            return Polynomial(self.ring, out)
-        c = self._coerce_scalar(other)
-        if c is None:
+                    out[mon] = out.get(mon, 0) + c1 * c2
+            return self.ring.from_terms(out)
+        if not isinstance(other, int):
             return NotImplemented
-        if c.is_zero():
+        q = self.ring.q
+        c = other % q
+        if not c:
             return self.ring.zero()
-        return Polynomial(self.ring, {m: v * c for m, v in self.terms.items()})
+        return Polynomial(self.ring, {m: v * c % q for m, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -307,11 +302,12 @@ class Polynomial:
 
     def scaled_shift(self, monomial: Monomial, coeff) -> "Polynomial":
         """coeff * monomial * self, the workhorse step of division."""
-        c = self.ring.field(coeff)
-        if c.is_zero():
+        q = self.ring.q
+        c = index(coeff) % q
+        if not c:
             return self.ring.zero()
         return Polynomial(
-            self.ring, {m * monomial: v * c for m, v in self.terms.items()}
+            self.ring, {m * monomial: v * c % q for m, v in self.terms.items()}
         )
 
     def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Monomial:
@@ -323,11 +319,11 @@ class Polynomial:
             self._lm_cache[order.name] = cached
         return cached
 
-    def leading_coefficient(self, order: MonomialOrder = GREVLEX) -> FieldElement:
+    def leading_coefficient(self, order: MonomialOrder = GREVLEX) -> int:
         return self.terms[self.leading_monomial(order)]
 
-    def coefficient(self, monomial: Monomial) -> FieldElement:
-        return self.terms.get(monomial, self.ring.field.zero())
+    def coefficient(self, monomial: Monomial) -> int:
+        return self.terms.get(monomial, 0)
 
     def monomials(self) -> list[Monomial]:
         return list(self.terms)
@@ -342,36 +338,27 @@ class Polynomial:
         degrees = {m.degree for m in self.terms}
         return len(degrees) <= 1
 
-    def homogeneous_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no homogeneous degree")
-        degrees = {m.degree for m in self.terms}
-        if len(degrees) != 1:
-            raise ValueError(f"polynomial is not homogeneous: {self}")
-        return degrees.pop()
-
     def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
         if not self.terms:
             return self
         lc = self.leading_coefficient(order)
         if lc == 1:
             return self
-        return self * lc.inv()
+        return self * pow(lc, -1, self.ring.q)
 
-    def evaluate(self, values) -> FieldElement:
-        field = self.ring.field
-        vals = [field(v).value for v in values]
+    def evaluate(self, values) -> int:
+        q = self.ring.q
+        vals = [index(v) % q for v in values]
         if len(vals) != self.ring.nvars:
             raise ValueError(f"expected {self.ring.nvars} values, got {len(vals)}")
-        q = field.q
         total = 0
         for mon, coeff in self.terms.items():
-            prod = coeff.value
+            prod = coeff
             for v, e in zip(vals, mon.exponents):
                 if e:
                     prod = prod * pow(v, e, q) % q
             total = (total + prod) % q
-        return field(total)
+        return total
 
     def format(self, order: MonomialOrder = GREVLEX) -> str:
         """Canonical text form: terms in decreasing order, coefficients in
@@ -380,7 +367,7 @@ class Polynomial:
             return "0"
         parts = []
         for mon in order.sorted(self.terms, reverse=True):
-            coeff = self.terms[mon].value
+            coeff = self.terms[mon]
             if mon.degree == 0:
                 parts.append(str(coeff))
             elif coeff == 1:
@@ -398,15 +385,15 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
             return other.ring == self.ring and other.terms == self.terms
-        if isinstance(other, (int, FieldElement)):
-            c = self.ring.field(other)
-            if c.is_zero():
+        if isinstance(other, int):
+            c = other % self.ring.q
+            if not c:
                 return self.is_zero()
             return self.terms == {self.ring.one_monomial(): c}
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset((m, c.value) for m, c in self.terms.items())))
+        return hash((self.ring, frozenset(self.terms.items())))
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>t\d+)|(?P<op>[+\-*^])|(?P<bad>\S))")

@@ -43,13 +43,14 @@ def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -
     quotient = f.ring.zero()
     work = f
     glm = g.leading_monomial(order)
-    glc = g.leading_coefficient(order)
+    q = f.ring.q
+    ginv = pow(g.leading_coefficient(order), -1, q)
     while not work.is_zero():
         lm = work.leading_monomial(order)
         if not glm.divides(lm):
             raise ValueError(f"{g} does not divide {f}")
         step = lm.divide_by(glm)
-        coeff = work.leading_coefficient(order) / glc
+        coeff = work.leading_coefficient(order) * ginv % q
         quotient = quotient + f.ring.from_terms({step: coeff})
         work = work - g.scaled_shift(step, coeff)
     return quotient
@@ -254,9 +255,9 @@ def single_point_ideal(ring, point):
         for j in range(i + 1, len(a)):
             coeffs = {}
             if a[j]:
-                coeffs[variables[i].leading_monomial()] = ring.field(a[j])
+                coeffs[variables[i].leading_monomial()] = a[j]
             if a[i]:
-                coeffs[variables[j].leading_monomial()] = -ring.field(a[i])
+                coeffs[variables[j].leading_monomial()] = -a[i]
             if coeffs:
                 gens.append(ring.from_terms(coeffs))
     return Ideal(ring, gens)
@@ -290,7 +291,7 @@ def vanishing_ideal_by_buchberger(X, order):
         monomials = ring.monomials_of_degree(d)
         rows = evaluation_matrix(X, monomials)
         for vec in kernel_basis(rows.T, field.q):
-            poly = ring.from_terms({m: field(int(c)) for m, c in zip(monomials, vec)})
+            poly = ring.from_terms({m: int(c) for m, c in zip(monomials, vec)})
             if not ideal.normal_form(poly).is_zero():
                 gens.append(poly)
                 ideal = Ideal(ring, gens, order)
@@ -396,7 +397,7 @@ def full_space_rgmdf(code, query, budget=10**7):
     # coefficient rows of the normal forms, for independence-mod-I tests
     nf_rows = np.zeros((N, code.k), dtype=np.int64)
     for i, m in enumerate(monomials):
-        nf_rows[i] = code.polynomial_to_coefficients(ring.from_terms({m: code.X.field(1)}))
+        nf_rows[i] = code.polynomial_to_coefficients(ring.from_terms({m: 1}))
     sub = query.subcode
     combos = projective_reps(r + sub.k1, q)
     degree = code.ideal.degree()

@@ -263,13 +263,18 @@ def test_footprint_rays_rejects_bad_input():
 
 
 def test_footprint_rays_stable_degree_matches_summary():
+    # deg S/J is the ray count in dimension one; dimension zero has no rays
     rng = random.Random(98317)
     checked = 0
     for _ in range(200):
         nv = rng.randint(1, 4)
         J = random_low_dim_ideal(rng, nv)
         fr = FootprintRays(J)
-        assert fr.stable_degree() == monomial_quotient_degree(J).degree
+        summary = monomial_quotient_degree(J)
+        if summary.dimension == 1:
+            assert len(fr.ray_cells) == summary.degree
+        else:
+            assert fr.ray_cells == []
         checked += 1
     assert checked == 200
 
@@ -323,11 +328,10 @@ def all_small_ideals(nvars):
 def test_quotient_by_set_matches_groebner_quotient(nvars):
     # exhaustive over every monomial ideal with generators of degree <= 2
     # and every nonempty generating set of the same shape
-    field = PrimeField(2)
-    ring = PolyRing(field, nvars)
+    ring = PolyRing(PrimeField(2), nvars)
     ideals = all_small_ideals(nvars)
     as_polys = {
-        J: [ring.from_terms({g: field(1)}) for g in J.gens] for J in ideals
+        J: [ring.from_terms({g: 1}) for g in J.gens] for J in ideals
     }
     for J in ideals:
         I = Ideal(ring, as_polys[J])

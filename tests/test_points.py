@@ -135,7 +135,8 @@ def test_vanishing_ideal_generators_vanish(seed=82901):
             for p in X:
                 total = 0
                 for mono, coeff in g.terms.items():
-                    val = coeff.value
+                    assert type(coeff) is int and 0 < coeff < q
+                    val = coeff
                     for i, e in enumerate(mono.exponents):
                         val = val * pow(p.values[i], e, q) % q
                     total = (total + val) % q
@@ -287,7 +288,8 @@ def test_large_prime_basis_vanishes_exactly():
         for p in coords:
             value = 0
             for mono, coeff in g.terms.items():
-                term = coeff.value
+                assert type(coeff) is int and 0 < coeff < q
+                term = coeff
                 for v, e in zip(p, mono.exponents):
                     term = term * pow(v, e, q) % q
                 value += term

@@ -156,7 +156,7 @@ def _random_monomial_instances(rng, count):
             if any(e):
                 gens.append(e)
         order = ORDERS[rng.choice(sorted(ORDERS))]
-        polys = [ring.from_terms({Monomial(e): ring.field.one()}) for e in gens]
+        polys = [ring.from_terms({Monomial(e): 1}) for e in gens]
         ideal = Ideal(ring, polys, order)
         if MonomialIdeal(s, gens).dimension() > 1:
             continue
