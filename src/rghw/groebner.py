@@ -3,7 +3,12 @@ operations built on it: normal forms, initial ideals, and Hilbert data."""
 
 from __future__ import annotations
 
-from .monideal import GradedQuotientSummary, MonomialIdeal, monomial_quotient_degree
+from .monideal import (
+    FootprintRays,
+    GradedQuotientSummary,
+    MonomialIdeal,
+    monomial_quotient_degree,
+)
 from .polyring import GREVLEX, Monomial, MonomialOrder, PolyRing, Polynomial
 
 
@@ -100,8 +105,8 @@ def reduced_basis(basis, order: MonomialOrder = GREVLEX) -> list[Polynomial]:
 
 class Ideal:
     """An ideal of a PolyRing.  Built once and never changed, so its reduced
-    Groebner basis, initial ideal and Hilbert summary are each computed at
-    most once."""
+    Groebner basis, initial ideal, Hilbert summary and footprint ray engine
+    are each computed at most once."""
 
     def __init__(self, ring: PolyRing, gens, order: MonomialOrder = GREVLEX):
         self.ring = ring
@@ -118,6 +123,7 @@ class Ideal:
         self._gb: list[Polynomial] | None = None
         self._initial: MonomialIdeal | None = None
         self._summary: GradedQuotientSummary | None = None
+        self._rays: FootprintRays | None = None
 
     @classmethod
     def _from_reduced_basis(
@@ -173,6 +179,13 @@ class Ideal:
         if self._summary is None:
             self._summary = monomial_quotient_degree(self.initial_ideal())
         return self._summary
+
+    def footprint_rays(self) -> FootprintRays:
+        """The FootprintRays engine of the initial ideal, shared by the
+        footprint profiles of every degree."""
+        if self._rays is None:
+            self._rays = FootprintRays(self.initial_ideal())
+        return self._rays
 
     def degree(self) -> int:
         return self.quotient_summary().degree

@@ -6,7 +6,10 @@ deg S/(J + (M)) and (J : (M)) != J into bitmask operations."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
+from math import prod
+
+import numpy as np
 
 from .polyring import Monomial
 
@@ -154,21 +157,59 @@ class MonomialIdeal:
         return f"MonomialIdeal({inner})"
 
 
+# grid rows per numpy step: bounds the memory of a sweep over exponent cells
+_GRID_BATCH = 1 << 16
+
+
+def _exponent_array(monomials, nvars: int) -> np.ndarray:
+    return np.array([m.exponents for m in monomials], dtype=np.int64).reshape(-1, nvars)
+
+
+def _standard_cells(gens: np.ndarray, caps, top: int | None = None) -> np.ndarray:
+    """The cells u with 0 <= u_j <= caps[j] (and |u| <= top when given) that
+    no row of gens divides, as rows of an array in lexicographic order.  The
+    grid is swept _GRID_BATCH cells at a time."""
+    radix = [c + 1 for c in caps]
+    strides = [prod(radix[j + 1 :]) for j in range(len(radix))]
+    size = prod(radix)
+    out = []
+    for lo in range(0, size, _GRID_BATCH):
+        idx = np.arange(lo, min(lo + _GRID_BATCH, size), dtype=np.int64)
+        cells = idx[:, None] // np.array(strides, dtype=np.int64) % np.array(
+            radix, dtype=np.int64
+        )
+        if top is not None:
+            cells = cells[cells.sum(axis=1) <= top]
+        inside = np.zeros(len(cells), dtype=bool)
+        for g in gens:
+            inside |= (cells >= g).all(axis=1)
+        out.append(cells[~inside])
+    return np.concatenate(out)
+
+
+def _bitmasks(bits: np.ndarray) -> list[int]:
+    """Row k of a 2-d boolean array as the int whose bit b is bits[k, b]."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def monomial_quotient_degree(ideal: MonomialIdeal, extra=()) -> GradedQuotientSummary:
     """Hilbert data and degree of S/(J + (extra)) for a monomial ideal J and
     optional extra monomial generators, requiring dim <= 1.  Larger
     dimensions raise UnsupportedDimensionError.
 
-    In dimension zero the Hilbert function is summed until it reaches zero
-    (the standard monomials form a finite down-set).  In dimension one it is
-    evaluated through D+1, where D = sum_j max_j and max_j is the largest
-    exponent of variable j among the generators (the exponent box).  A
-    standard monomial with two coordinates at or above their box maxima
-    would span a standard 2-dimensional cone, so in dimension one every
-    standard monomial has at most one such coordinate, and every standard
-    monomial of degree at least D - nvars + 1 has exactly one: it lies on a
-    ray of FootprintRays.  H is therefore the ray count from D - nvars + 1
-    on, and the last two values must agree.
+    In dimension zero every variable has a pure power x_j^p_j in J, so the
+    standard monomials are the cells of the grid u_j < p_j outside J, and
+    the Hilbert function is their count by degree, through its first zero.
+    In dimension one it is evaluated through D+1, where D = sum_j max_j and
+    max_j is the largest exponent of variable j among the generators (the
+    exponent box).  A standard monomial with two coordinates at or above
+    their box maxima would span a standard 2-dimensional cone, so in
+    dimension one every standard monomial has at most one such coordinate,
+    and every standard monomial of degree at least D - nvars + 1 has exactly
+    one: it lies on a ray of FootprintRays.  H is therefore the ray count
+    from D - nvars + 1 on, and the last two values must agree.  The cells
+    counted are those of the grid capped at the pure powers and at D + 1.
     """
     extra = tuple(extra)
     if extra:
@@ -180,21 +221,17 @@ def monomial_quotient_degree(ideal: MonomialIdeal, extra=()) -> GradedQuotientSu
         raise UnsupportedDimensionError(
             f"quotient has dimension {dim}; only dimensions 0 and 1 are supported"
         )
+    gens = _exponent_array(ideal.gens, ideal.nvars)
+    powers = ideal.pure_power_exponents()
     if dim == 0:
-        values = []
-        d = 0
-        while True:
-            h = ideal.hilbert_function(d)
-            values.append(h)
-            if h == 0:
-                break
-            d += 1
+        cells = _standard_cells(gens, [p - 1 for p in powers])
+        values = np.bincount(cells.sum(axis=1)).tolist() + [0]
         return GradedQuotientSummary(tuple(values), 0, sum(values), None)
-    box = sum(
-        max((g.exponents[j] for g in ideal.gens), default=0)
-        for j in range(ideal.nvars)
-    )
-    values = [ideal.hilbert_function(d) for d in range(box + 2)]
+    box = int(gens.max(axis=0, initial=0).sum())
+    top = box + 1
+    caps = [top if p is None else min(p - 1, top) for p in powers]
+    degrees = _standard_cells(gens, caps, top).sum(axis=1)
+    values = np.bincount(degrees, minlength=top + 1).tolist()
     if values[box] != values[box + 1]:
         raise RuntimeError(
             f"Hilbert function not stable past the exponent box of {ideal}: "
@@ -218,8 +255,9 @@ class FootprintRays:
     J + (M): a new generator m kills the tail of a ray exactly when m divides
     some point of it, i.e. when m is bounded by the base cell away from the
     ray direction.  Both ray survival and the admissibility test
-    (J : (M)) != J reduce to fixed bitmasks per monomial, so scanning many
-    sets M costs one AND plus a popcount per step.
+    (J : (M)) != J reduce to fixed bitmasks per monomial (`masks`), and so
+    does the length of S/(J + M) once M kills every ray (`length_masks`), so
+    scanning many sets M costs one AND plus a popcount per step.
     """
 
     def __init__(self, ideal: MonomialIdeal):
@@ -232,76 +270,81 @@ class FootprintRays:
             )
         self.ideal = ideal
         nv = ideal.nvars
-        gens = [g.exponents for g in ideal.gens]
-        self.max_exponents = [
-            max((g[j] for g in gens), default=0) for j in range(nv)
-        ]
-        # ray cells: (direction, base exponents); dim <= 1 keeps every
-        # escaping cell strictly inside the generator exponent box
-        self.ray_cells: list[tuple[int, tuple[int, ...]]] = []
+        gens = self._gens = _exponent_array(ideal.gens, nv)
+        self.max_exponents = gens.max(axis=0, initial=0).tolist()
+        # ray cells along t_i: base cells m' in the box with m'_i = 0 such
+        # that no generator, its i-th exponent dropped, divides m'
+        dirs, bases = [], []
         for i in range(nv):
-            ranges = [
-                range(self.max_exponents[j] + 1) if j != i else range(1)
-                for j in range(nv)
-            ]
-            for cell in product(*ranges):
-                if all(
-                    any(g[j] > cell[j] for j in range(nv) if j != i) for g in gens
-                ):
-                    if any(
-                        cell[j] == self.max_exponents[j] for j in range(nv) if j != i
-                    ):
-                        raise RuntimeError(
-                            f"escaping ray {cell} along t{i + 1} on the box "
-                            f"boundary of {ideal}, impossible in dim <= 1"
-                        )
-                    self.ray_cells.append((i, cell))
+            caps = list(self.max_exponents)
+            caps[i] = 0
+            flat = gens.copy()
+            flat[:, i] = 0
+            cells = _standard_cells(flat, caps)
+            off = np.arange(nv) != i
+            # dim <= 1 keeps every escaping cell strictly inside the box
+            edge = cells[:, off] == np.array(self.max_exponents)[off]
+            if edge.any():
+                cell = tuple(cells[edge.any(axis=1)][0].tolist())
+                raise RuntimeError(
+                    f"escaping ray {cell} along t{i + 1} on the box "
+                    f"boundary of {ideal}, impossible in dim <= 1"
+                )
+            dirs.extend([i] * len(cells))
+            bases.append(cells)
+        self._ray_bases = np.concatenate(bases) if bases else np.zeros((0, nv), np.int64)
+        # a ray's own direction never decides survival
+        self._ray_off = np.arange(nv) != np.array(dirs, dtype=np.int64).reshape(-1, 1)
+        self.ray_cells: list[tuple[int, tuple[int, ...]]] = [
+            (i, tuple(c)) for i, c in zip(dirs, self._ray_bases.tolist())
+        ]
         # witness cells: standard monomials inside the box; a witness for
         # (J:(M)) != J is standard and lands in J after every multiplier in M,
         # and capping its exponents at the box keeps both properties
+        self._witness = _standard_cells(gens, self.max_exponents)
         self.witness_cells: list[tuple[int, ...]] = [
-            v
-            for v in product(*(range(e + 1) for e in self.max_exponents))
-            if not ideal.contains(Monomial(v))
+            tuple(v) for v in self._witness.tolist()
         ]
 
-    def survival_mask(self, monomial: Monomial) -> int:
-        """Bit b set when ray cell b stays standard in S/(J + (monomial)).
+    def masks(self, monomials) -> tuple[list[int], list[int]]:
+        """Witness and survival masks of each monomial, built by one array
+        pass per generator.
 
-        The monomial kills cell (i, m') exactly when its exponents away from
-        direction i fit under m'; its i-th exponent only delays the kill.
-        """
-        mu = monomial.exponents
-        nv = self.ideal.nvars
-        mask = 0
-        for b, (i, cell) in enumerate(self.ray_cells):
-            if any(mu[j] > cell[j] for j in range(nv) if j != i):
-                mask |= 1 << b
-        return mask
+        Witness bit b is set when witness cell v_b lands in J once multiplied
+        by the monomial; an AND over a set M that stays nonzero certifies
+        (J : (M)) != J.  Survival bit b is set when ray cell b stays standard
+        in S/(J + (monomial)): the monomial kills cell (i, m') exactly when
+        its exponents away from direction i fit under m'; its i-th exponent
+        only delays the kill."""
+        mus = _exponent_array(monomials, self.ideal.nvars)
+        beyond = (mus[:, None] > self._ray_bases) & self._ray_off
+        survival = _bitmasks(beyond.any(axis=2))
+        landed = np.zeros((len(mus), len(self._witness)), dtype=bool)
+        step = max(1, _GRID_BATCH // max(1, len(self._witness)))
+        for lo in range(0, len(mus), step):
+            shifted = self._witness + mus[lo : lo + step, None]
+            for g in self._gens:
+                landed[lo : lo + step] |= (shifted >= g).all(axis=2)
+        return _bitmasks(landed), survival
 
-    def witness_mask(self, monomial: Monomial) -> int:
-        """Bit b set when witness cell b lands in J once multiplied by the
-        monomial; an AND over a set M that stays nonzero certifies
-        (J : (M)) != J."""
-        shifted = [g.divide_by(g.gcd(monomial)) for g in self.ideal.gens]
-        mask = 0
-        for b, v in enumerate(self.witness_cells):
-            if any(
-                all(s <= w for s, w in zip(g.exponents, v)) for g in shifted
-            ):
-                mask |= 1 << b
-        return mask
+    def length_masks(self, monomials, d: int) -> tuple[int, list[int]]:
+        """For monomials of degree d: the count of standard monomials of
+        degree below d, and per monomial a mask over the cells C = {u
+        standard, |u| >= d, u_j <= max(max_j, d - 1)} with bit b set when the
+        monomial does not divide cell b.
 
-    def sum_degree(self, monomials, survivors: int | None = None) -> int:
-        """deg S/(J + (M)).  When the precomputed AND of survival masks is
-        supplied and nonzero its popcount is the answer; otherwise the
-        enlarged quotient is finite and counted directly."""
-        if survivors is None:
-            survivors = -1
-            for m in monomials:
-                survivors &= self.survival_mask(m)
-            if survivors < 0:
-                survivors &= (1 << len(self.ray_cells)) - 1
-        if survivors:
-            return survivors.bit_count()
-        return monomial_quotient_degree(self.ideal, monomials).degree
+        When M kills every ray, each standard monomial u of S/(J + M) with
+        |u| >= d lies in C: a coordinate u_i above max_i puts u on the ray
+        along t_i through its base cell, the member of M killing that ray has
+        i-th exponent at most d, so it divides u once u_i >= d too.  So
+        deg S/(J + M) is the count plus the popcount of the AND of the
+        masks of M."""
+        cells = _standard_cells(self._gens, [max(e, d - 1) for e in self.max_exponents])
+        degrees = cells.sum(axis=1)
+        cells = cells[degrees >= d]
+        mus = _exponent_array(monomials, self.ideal.nvars)
+        spared = np.empty((len(mus), len(cells)), dtype=bool)
+        step = max(1, _GRID_BATCH // max(1, len(cells)))
+        for lo in range(0, len(mus), step):
+            spared[lo : lo + step] = ~(cells >= mus[lo : lo + step, None]).all(axis=2)
+        return int((degrees < d).sum()), _bitmasks(spared)

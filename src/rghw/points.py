@@ -5,6 +5,7 @@ vanishing ideals, and zero sets."""
 from __future__ import annotations
 
 from itertools import product
+from operator import index
 
 import numpy as np
 
@@ -22,7 +23,7 @@ class ProjectivePoint:
     __slots__ = ("field", "values")
 
     def __init__(self, field: PrimeField, coordinates):
-        values = [int(c) % field.q for c in coordinates]
+        values = [index(c) % field.q for c in coordinates]
         if not any(values):
             raise ValueError("projective point needs a nonzero coordinate")
         first = next(v for v in values if v)
@@ -121,7 +122,7 @@ def affine_cartesian(q: int, factors) -> ProjectivePointSet:
     field = PrimeField(q)
     sets = []
     for i, A in enumerate(factors):
-        vals = sorted({int(a) % q for a in A})
+        vals = sorted({index(a) % q for a in A})
         if not vals:
             raise ValueError(f"factor {i + 1} is empty")
         sets.append(vals)

@@ -17,7 +17,6 @@ from .codes import (
 )
 from .groebner import Ideal
 from .linalg import gaussian_binomial, require_exact_int64
-from .monideal import FootprintRays
 
 
 class WeightQuery:
@@ -48,13 +47,20 @@ class FootprintProfile:
 
     A subset M is admissible when the AND of its witness masks is nonzero,
     and scores the popcount of the AND of its survival masks, or, when that
-    AND is 0, the length of the finite quotient S/(J + M).  Three cuts are
-    exact:
+    AND is 0, the length of the finite quotient S/(J + M), which is a fixed
+    count plus the popcount of the AND of its length masks (see
+    FootprintRays).  Four cuts are exact:
     - size: fewer compatible candidates remain than the subset still needs;
     - popcount: survivor masks only shrink, so while no descendant can reach
       mask 0 a subtree scores at most the need-th largest child popcount;
     - zero mask: once the mask is 0 the quotient is finite and only shrinks,
-      so a node whose length is at most the best found is cut.
+      so a node whose length is at most the best found is cut;
+    - dominance: a dominates b when both masks of a contain those of b.
+      Swapping b for a keeps a subset admissible and its survivor mask no
+      smaller, so where no completion can reach mask 0, and at leaves with a
+      nonzero mask, b is cut whenever a dominator a earlier in the pool is
+      left out.  The best nonzero-mask subset with the least index sum is
+      never cut, and zero-mask subsets are never dominance-cut.
 
     `counts[r]` is the number of nodes rank r's search expanded; the nodes
     of all ranks count against `budget`, past which BudgetExceededError is
@@ -67,7 +73,6 @@ class FootprintProfile:
         self.ideal = ideal
         self.d = d
         self.budget = budget
-        initial = ideal.initial_ideal()
         pool = self.pool = ideal.order.sorted(ideal.footprint_slice(d), reverse=True)
         self.total_degree = ideal.degree()
         rmax = len(pool) if rmax is None else min(rmax, len(pool))
@@ -77,9 +82,27 @@ class FootprintProfile:
         self._admissible = None
         if not pool or rmax < 1:
             return
-        engine = FootprintRays(initial)
-        witness = self._witness = [engine.witness_mask(m) for m in pool]
-        survival = [engine.survival_mask(m) for m in pool]
+        engine = ideal.footprint_rays()
+        witness, survival = engine.masks(pool)
+        # larger masks first, so that every dominator precedes what it
+        # dominates; ties keep the order's ranking
+        rank = sorted(
+            range(len(pool)),
+            key=lambda i: (-survival[i].bit_count(), -witness[i].bit_count()),
+        )
+        pool = self.pool = [pool[i] for i in rank]
+        witness = self._witness = [witness[i] for i in rank]
+        survival = [survival[i] for i in rank]
+        # dominators[b]: bit a set for each a < b whose masks contain b's
+        dominators = [
+            sum(
+                1 << a
+                for a in range(b)
+                if witness[a] & witness[b] == witness[b]
+                and survival[a] & survival[b] == survival[b]
+            )
+            for b in range(len(pool))
+        ]
         full = (1 << len(engine.ray_cells)) - 1
         # tail_kill[i]: AND of the survival masks of the candidates j >= i
         # that are admissible alone; s & tail_kill[i] != 0 means no subset
@@ -87,62 +110,60 @@ class FootprintProfile:
         tail_kill = [full] * (len(pool) + 1)
         for i in reversed(range(len(pool))):
             tail_kill[i] = tail_kill[i + 1] & (survival[i] if witness[i] else full)
-        lengths: dict[tuple, int] = {}
+        if tail_kill[0]:
+            # no admissible subset empties its survivor mask: no lengths
+            below, alive = 0, [0] * len(pool)
+        else:
+            below, alive = engine.length_masks(pool, d)
 
-        def length(chosen):
-            monomials = [pool[i] for i in chosen]
-            key = initial.add(monomials).gens
-            if key not in lengths:
-                lengths[key] = engine.sum_degree(monomials, 0)
-            return lengths[key]
-
-        chosen: list[int] = []
+        chosen = 0  # bit i set for each pool index on the current path
         nodes = 0
         best = -1
 
-        def search(start, wmask, smask, need):
-            nonlocal nodes, best
+        def search(start, wmask, smask, amask, need):
+            nonlocal chosen, nodes, best
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(None, budget)
+            safe = smask & tail_kill[start] != 0
+            # a dominator left out below start stays out of this subtree
+            out = ~chosen & ((1 << start) - 1) if safe else 0
             kids = []
             for i in range(start, len(pool)):
                 w = wmask & witness[i]
-                if w:
+                if w and not dominators[i] & out:
                     s = smask & survival[i]
                     kids.append((-s.bit_count(), i, w, s))
             if len(kids) < need:
                 return
             if need == 1:
                 for neg, i, _, s in kids:
-                    if s:
+                    if not s:
+                        best = max(best, below + (amask & alive[i]).bit_count())
+                    elif not dominators[i] & ~chosen:
                         best = max(best, -neg)
-                    else:
-                        chosen.append(i)
-                        best = max(best, length(chosen))
-                        chosen.pop()
                 return
             # a child must leave need - 1 compatible candidates after it
             last = kids[-need][1]
-            safe = smask & tail_kill[start] != 0
             kids.sort()  # largest popcount first
             if safe and -kids[need - 1][0] <= best:
                 return
             for neg, i, w, s in kids:
-                if i > last:
+                if i > last or safe and dominators[i] & ~chosen:
                     continue
-                chosen.append(i)
+                a = amask & alive[i]
                 if s:
                     keep = -neg > best or not s & tail_kill[i + 1]
                 else:
-                    keep = length(chosen) > best
+                    keep = below + a.bit_count() > best
                 if keep:
-                    search(i + 1, w, s, need - 1)
-                chosen.pop()
+                    chosen |= 1 << i
+                    search(i + 1, w, s, a, need - 1)
+                    chosen &= ~(1 << i)
 
         for r in range(1, rmax + 1):
             before, best = nodes, -1
-            search(0, -1, full, r)
+            search(0, -1, full, -1, r)
             self.counts[r] = nodes - before
             if best < 0:
                 # no admissible r-subset, hence none larger either

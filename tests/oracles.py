@@ -1,5 +1,7 @@
 """Independent slow routes to the quantities the package computes, used only
-by the tests.
+by the tests.  The footprint walk scores subsets with witness and survival
+masks built one cell at a time and with Hilbert-sum lengths, where the
+package builds its masks by array passes.
 
 Besides the reference scans below, this module holds the general ideal
 algebra that the package no longer needs: exact polynomial division,
@@ -16,7 +18,7 @@ from rghw.codes import BudgetExceededError, build_code, validate_subcode
 from rghw.field import PrimeField
 from rghw.groebner import Ideal, buchberger, reduced_basis
 from rghw.linalg import gaussian_binomial, kernel_basis, matrix_rank, rref
-from rghw.monideal import FootprintRays, MonomialIdeal
+from rghw.monideal import FootprintRays, MonomialIdeal, monomial_quotient_degree
 from rghw.points import ProjectivePointSet, all_projective_points, evaluation_matrix
 from rghw.polyring import GREVLEX, Monomial, MonomialOrder, PolyRing, Polynomial
 
@@ -425,6 +427,42 @@ def full_space_rgmdf(code, query, budget=10**7):
     return degree - best
 
 
+def survival_mask(engine, monomial):
+    """Bit b set when ray cell b of the FootprintRays engine stays standard
+    in S/(J + (monomial)), one cell at a time: the monomial kills cell
+    (i, m') exactly when its exponents away from direction i fit under m'."""
+    mu = monomial.exponents
+    mask = 0
+    for b, (i, cell) in enumerate(engine.ray_cells):
+        if any(mu[j] > cell[j] for j in range(len(mu)) if j != i):
+            mask |= 1 << b
+    return mask
+
+
+def witness_mask(engine, monomial):
+    """Bit b set when witness cell b of the engine lands in J once
+    multiplied by the monomial, tested against J's generators divided by
+    their gcd with it, one cell at a time."""
+    shifted = [g.divide_by(g.gcd(monomial)) for g in engine.ideal.gens]
+    mask = 0
+    for b, v in enumerate(engine.witness_cells):
+        if any(all(s <= w for s, w in zip(g.exponents, v)) for g in shifted):
+            mask |= 1 << b
+    return mask
+
+
+def sum_degree(engine, monomials, survivors=None):
+    """deg S/(J + (M)): the popcount of the AND of the survival masks when
+    it is nonzero, and otherwise the Hilbert sum of the finite quotient."""
+    if survivors is None:
+        survivors = (1 << len(engine.ray_cells)) - 1
+        for m in monomials:
+            survivors &= survival_mask(engine, m)
+    if survivors:
+        return survivors.bit_count()
+    return monomial_quotient_degree(engine.ideal, monomials).degree
+
+
 def footprint_by_subset_walk(ideal, d, rmax):
     """Walk every admissible monomial subset of the degree-d footprint slice
     up to size rmax, in the profile's pool order, with no cut.  Returns
@@ -439,8 +477,8 @@ def footprint_by_subset_walk(ideal, d, rmax):
     if not pool or rmax < 1:
         return counts, best
     engine = FootprintRays(initial)
-    witness = [engine.witness_mask(m) for m in pool]
-    survival = [engine.survival_mask(m) for m in pool]
+    witness = [witness_mask(engine, m) for m in pool]
+    survival = [survival_mask(engine, m) for m in pool]
     chosen = []
 
     def walk(start, wmask, smask):
@@ -451,7 +489,7 @@ def footprint_by_subset_walk(ideal, d, rmax):
                 continue
             chosen.append(i)
             s = smask & survival[i]
-            value = engine.sum_degree([pool[j] for j in chosen], s)
+            value = sum_degree(engine, [pool[j] for j in chosen], s)
             counts[size] += 1
             if best[size] is None or value > best[size]:
                 best[size] = value

@@ -41,6 +41,18 @@ def test_normalize_examples():
     assert ProjectivePoint(f5, (3, 6, 0)).values == ProjectivePoint(f5, (2, 4, 0)).values
 
 
+def test_coordinates_must_be_integers():
+    # numpy integers are integers; a float is refused, not truncated
+    f5 = PrimeField(5)
+    assert ProjectivePoint(f5, np.array([2, 4, 0])).values == (1, 2, 0)
+    assert ProjectivePoint(f5, (np.int64(7), np.uint8(1))).values == (1, 3)
+    assert len(affine_cartesian(5, [np.arange(3), (np.int32(1),)])) == 3
+    with pytest.raises(TypeError):
+        ProjectivePoint(f5, (1.5, 2.9))
+    with pytest.raises(TypeError):
+        affine_cartesian(5, [(0.5, 1.7)])
+
+
 def test_zero_vector_rejected():
     with pytest.raises(ValueError):
         ProjectivePoint(PrimeField(3), (0, 0, 0))

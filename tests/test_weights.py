@@ -18,6 +18,9 @@ from oracles import (
     quotient_by_set,
     random_subcode,
     rghw_by_support_scan,
+    sum_degree,
+    survival_mask,
+    witness_mask,
 )
 
 from rghw.codes import BudgetExceededError, build_code, rghw_bruteforce, validate_subcode
@@ -40,6 +43,7 @@ from rghw.weights import (
     rgmdf,
     vasconcelos,
 )
+from itertools import combinations
 from math import comb
 
 
@@ -122,19 +126,20 @@ def test_footprint_profile_against_subset_enumeration(seed=70111):
             assert profile.value(r) == expected
 
 
-def _random_point_instances(rng, count):
-    """Vanishing ideals of random point sets in P^2 and P^3 over F_2, F_3
-    and F_5 under all three orders, with a degree d <= 3 whose slice has at
-    most 12 monomials (the walk's finite-quotient fallback makes larger
-    slices of P^3/F_5 cost seconds each)."""
+def _random_point_instances(rng, count, cap=12):
+    """Vanishing ideals of random point sets of at most `cap` points in P^2
+    and P^3 over F_2, F_3 and F_5 under all three orders, with a degree
+    d <= 3 whose slice has at most `cap` monomials (the walk's
+    finite-quotient fallback makes larger slices of P^3/F_5 cost seconds
+    each)."""
     out = []
     while len(out) < count:
         q, s = rng.choice([2, 3, 5]), rng.choice([3, 4])
         limit = len(all_projective_points(q, s))
-        X = random_point_set(rng, q, s, rng.randrange(2, min(12, limit) + 1))
+        X = random_point_set(rng, q, s, rng.randrange(2, min(cap, limit) + 1))
         ideal = X.vanishing_ideal(ORDERS[rng.choice(sorted(ORDERS))])
         d = rng.randrange(1, 4)
-        if ideal.hilbert_function(d) <= 12:
+        if ideal.hilbert_function(d) <= cap:
             out.append((ideal, d))
     return out
 
@@ -175,12 +180,43 @@ def _torus_instances():
     ]
 
 
+def test_array_masks_match_scalar_masks(seed=52817):
+    # the masks FootprintProfile reads against the cell-by-cell oracle: the
+    # same admissibility and survivor popcount for every subset of at most
+    # two pool monomials and for the whole pool, and, where the survivor
+    # mask is 0, the length from the length masks equals the Hilbert sum
+    rng = random.Random(seed)
+    seen = set()
+    for ideal, d in _random_monomial_instances(rng, 40) + _torus_instances():
+        engine = ideal.footprint_rays()
+        assert engine is ideal.footprint_rays()
+        pool = ideal.footprint_slice(d)
+        witness, survival = engine.masks(pool)
+        below, alive = engine.length_masks(pool, d)
+        scalar = [(witness_mask(engine, m), survival_mask(engine, m)) for m in pool]
+        full = (1 << len(engine.ray_cells)) - 1
+        subsets = [c for r in (1, 2) for c in combinations(range(len(pool)), r)]
+        for subset in subsets + [tuple(range(len(pool)))]:
+            w = s = a = ws = ss = -1
+            for i in subset:
+                w, s, a = w & witness[i], s & survival[i], a & alive[i]
+                ws, ss = ws & scalar[i][0], ss & scalar[i][1]
+            assert (w != 0) == (ws != 0), (ideal, d, subset)
+            assert (s & full).bit_count() == (ss & full).bit_count()
+            if not s & full:
+                monomials = [pool[i] for i in subset]
+                assert below + a.bit_count() == sum_degree(engine, monomials, 0)
+                seen.add(("zero mask", w != 0))
+        seen.add(("dimension", ideal.quotient_summary().dimension))
+    assert seen >= {("dimension", 0), ("dimension", 1), ("zero mask", True)}
+
+
 def _reaches_zero_mask(ideal, d):
     """Whether some admissible subset of the slice has survivor mask 0, so
     that it scores by the finite-quotient fallback."""
     engine = FootprintRays(ideal.initial_ideal())
     pool = ideal.footprint_slice(d)
-    masks = [(engine.witness_mask(m), engine.survival_mask(m)) for m in pool]
+    masks = [(witness_mask(engine, m), survival_mask(engine, m)) for m in pool]
 
     def down(start, wmask, smask):
         for i in range(start, len(masks)):
@@ -219,16 +255,32 @@ def test_branch_and_bound_matches_subset_walk(family, seed=61907):
         assert zero_mask_instances > 0
 
 
+def test_zero_mask_heavy_slice_keeps_its_row():
+    # 16 points in P^3/F_5, d = 3, k = 16: thousands of admissible subsets
+    # empty their survivor masks and score by the length of the finite
+    # quotient; the row was computed by summing Hilbert functions
+    instances = _random_point_instances(random.Random(61907), 40, cap=16)
+    [(ideal, d)] = [
+        (ideal, d)
+        for ideal, d in instances
+        if (ideal.ring.q, ideal.ring.nvars, d, ideal.hilbert_function(d)) == (5, 4, 3, 16)
+    ]
+    profile = FootprintProfile(ideal, d)
+    assert [profile.value(r) for r in range(1, 17)] == [
+        0, 1, 2, -17, -16, -15, -14, -12, -10, -8, -7, -5, -3, -2, 0, 1
+    ]
+
+
 def test_profile_budget_counts_nodes_and_subsets_separately():
-    # d = 2 on the torus of P^2/F_5: the search expands 24 nodes while
+    # d = 2 on the torus of P^2/F_5: the search expands 22 nodes while
     # 31 admissible subsets exist; each count has its own budget
     ideal = projective_torus(5, 3).vanishing_ideal()
     profile = FootprintProfile(ideal, 2, 6, budget=30)
-    assert sum(profile.counts) == 24
+    assert sum(profile.counts) == 22
     with pytest.raises(BudgetExceededError):
         profile.candidate_count(1)
     with pytest.raises(BudgetExceededError):
-        FootprintProfile(ideal, 2, 6, budget=23)
+        FootprintProfile(ideal, 2, 6, budget=21)
     profile = FootprintProfile(ideal, 2, 6, budget=31)
     assert [profile.candidate_count(r) for r in range(1, 7)] == [5, 10, 10, 5, 1, 0]
 
