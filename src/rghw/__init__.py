@@ -26,7 +26,6 @@ from .monideal import (
     monomial_quotient_degree,
 )
 from .points import (
-    ProjectivePoint,
     ProjectivePointSet,
     affine_cartesian,
     all_projective_points,
@@ -79,7 +78,6 @@ __all__ = [
     "PolyRing",
     "Polynomial",
     "PrimeField",
-    "ProjectivePoint",
     "ProjectivePointSet",
     "SubcodeSpec",
     "UnsupportedDimensionError",

@@ -287,9 +287,8 @@ def load_problem(config: ProblemConfig, order, config_dir: Path) -> Problem:
     ring = PolyRing(fieldq, config.s)
     gens = [_parse_generator(ring, g) for g in config.generators]
     ideal = Ideal(ring, gens, order)
-    scan = all_projective_points(config.q, config.s)
-    points = zero_set(scan, gens)
-    X = ProjectivePointSet(fieldq, points) if points else None
+    rows = zero_set(all_projective_points(config.q, config.s), gens)
+    X = ProjectivePointSet(fieldq, rows) if len(rows) else None
     return Problem(config, order, X, ideal, ring)
 
 
@@ -581,16 +580,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rghw",
         description="Weight hierarchies of evaluation codes on finite projective point sets.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="problem config file")
-        p.add_argument("--format", choices=("table", "csv"), default="table")
-        p.add_argument("--budget", type=int, default=10**7,
-                       help="max candidates per enumeration (default 10^7)")
-        p.add_argument("--order", choices=sorted(ORDERS), default="grevlex")
-        p.add_argument("--with-bruteforce", action="store_true",
-                       help="also compute M_r by exhaustive subspace search")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="problem config file")
+    parser.add_argument("--format", choices=("table", "csv"), default="table")
+    parser.add_argument("--budget", type=int, default=10**7,
+                        help="max candidates per enumeration (default 10^7)")
+    parser.add_argument("--order", choices=sorted(ORDERS), default="grevlex")
+    parser.add_argument("--with-bruteforce", action="store_true",
+                        help="also compute M_r by exhaustive subspace search")
     return parser
 
 

@@ -4,7 +4,6 @@ vanishing ideals, and zero sets."""
 
 from __future__ import annotations
 
-from itertools import product
 from operator import index
 
 import numpy as np
@@ -16,83 +15,49 @@ from .monideal import MonomialIdeal, monomial_quotient_degree
 from .polyring import GREVLEX, Monomial, MonomialOrder, PolyRing, Polynomial
 
 
-class ProjectivePoint:
-    """A point of P^{s-1} stored in standard position: coordinates are ints
-    in [0, q), scaled so the first nonzero one equals 1."""
-
-    __slots__ = ("field", "values")
-
-    def __init__(self, field: PrimeField, coordinates):
-        values = [index(c) % field.q for c in coordinates]
-        if not any(values):
-            raise ValueError("projective point needs a nonzero coordinate")
-        first = next(v for v in values if v)
-        if first != 1:
-            scale = pow(first, field.q - 2, field.q)
-            values = [v * scale % field.q for v in values]
-        self.field = field
-        self.values = tuple(values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i) -> int:
-        return self.values[i]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ProjectivePoint)
-            and other.field == self.field
-            and other.values == self.values
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.q, self.values))
-
-    def __repr__(self) -> str:
-        return "[" + ":".join(str(v) for v in self.values) + "]"
-
-
 class ProjectivePointSet:
-    """An ordered list of distinct projective points.  The order fixes the
-    codeword coordinate layout and is never changed after construction."""
+    """An ordered list of distinct points of P^{s-1} over F_q, stored as one
+    (n, s) int64 array `coords` whose rows are in standard position: residues
+    in [0, q), scaled so the first nonzero one equals 1.  The row order fixes
+    the codeword coordinate layout and is never changed after construction.
+    Iterating or indexing gives the rows as tuples of ints."""
 
     def __init__(self, field: PrimeField, points):
-        pts = []
-        seen = set()
-        for p in points:
-            if not isinstance(p, ProjectivePoint):
-                p = ProjectivePoint(field, p)
-            if p.field != field:
-                raise ValueError("point field does not match the set's field")
-            if pts and len(p) != len(pts[0]):
+        q = field.q
+        # scaling a row multiplies two residues, exact in int64 below this q
+        require_exact_int64(q)
+        if isinstance(points, np.ndarray) and points.dtype == np.int64 and points.ndim == 2:
+            coords = points % q
+        else:
+            rows = [[index(c) % q for c in p] for p in points]
+            if any(len(row) != len(rows[0]) for row in rows):
                 raise ValueError("points with mixed coordinate counts")
-            if p in seen:
-                raise ValueError(f"duplicate point {p}")
-            seen.add(p)
-            pts.append(p)
-        if not pts:
+            coords = np.array(rows, dtype=np.int64)
+        if not len(coords):
             raise ValueError("empty point set")
+        if not coords.shape[1]:
+            raise ValueError("projective point needs a nonzero coordinate")
+        coords = _standard_position(coords, q)
+        bad = _first_repeat(coords)
+        if bad is not None:
+            i, j = bad
+            if j < 0:
+                raise ValueError("projective point needs a nonzero coordinate")
+            raise ValueError("duplicate point [" + ":".join(map(str, coords[i])) + "]")
+        coords.flags.writeable = False
         self.field = field
-        self.points = tuple(pts)
-        self.s = len(pts[0])
+        self.coords = coords
+        self.s = coords.shape[1]
         self._ideal_cache: dict[str, Ideal] = {}
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.coords)
 
     def __iter__(self):
-        return iter(self.points)
+        return map(tuple, self.coords.tolist())
 
-    def __getitem__(self, i) -> ProjectivePoint:
-        return self.points[i]
-
-    def coordinate_matrix(self) -> np.ndarray:
-        """s x n integer matrix whose columns are the points."""
-        return np.array([p.values for p in self.points], dtype=np.int64).T
+    def __getitem__(self, i) -> tuple[int, ...]:
+        return tuple(self.coords[i].tolist())
 
     def vanishing_ideal(self, order: MonomialOrder = GREVLEX) -> Ideal:
         if order.name not in self._ideal_cache:
@@ -103,17 +68,48 @@ class ProjectivePointSet:
         return f"ProjectivePointSet(q={self.field.q}, {len(self)} points in P^{self.s - 1})"
 
 
+def _standard_position(coords: np.ndarray, q: int) -> np.ndarray:
+    """The rows of a residue array scaled so that each first nonzero entry
+    is 1; zero rows stay zero."""
+    lead = coords[np.arange(len(coords)), (coords != 0).argmax(axis=1)]
+    if (lead <= 1).all():
+        return coords
+    scale = np.array([pow(v, -1, q) if v else 0 for v in lead.tolist()], dtype=np.int64)
+    return coords * scale[:, None] % q
+
+
+def _first_repeat(coords: np.ndarray) -> tuple[int, int] | None:
+    """(i, j) for the first row i that is zero (j = -1) or equals an earlier
+    row j, or None when the rows are nonzero and distinct."""
+    # equal rows are adjacent after a stable sort, first occurrence first,
+    # and a zero row sorts first of all
+    order = np.lexsort(coords.T)
+    ranked = coords[order]
+    new = np.ones(len(coords), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    if new.all() and ranked[0].any():
+        return None
+    earlier = np.empty_like(order)
+    earlier[order] = order[new][np.cumsum(new) - 1]
+    zero = ~coords.any(axis=1)
+    i = int((zero | (earlier != np.arange(len(coords)))).argmax())
+    return i, -1 if zero[i] else int(earlier[i])
+
+
+def _lex_grid(sets) -> np.ndarray:
+    """The tuples of product(*sets), in that (lexicographic) order, as the
+    rows of an int64 array."""
+    grids = np.meshgrid(*sets, indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, len(sets)).astype(np.int64)
+
+
 def projective_torus(q: int, s: int) -> ProjectivePointSet:
     """All points of P^{s-1} over F_q with every coordinate nonzero, in
     lexicographic order; there are (q-1)^{s-1} of them."""
     field = PrimeField(q)
     if s < 2:
         raise ValueError(f"ambient dimension s must be at least 2, got {s}")
-    pts = [
-        ProjectivePoint(field, (1,) + rest)
-        for rest in product(range(1, q), repeat=s - 1)
-    ]
-    return ProjectivePointSet(field, pts)
+    return ProjectivePointSet(field, _lex_grid([[1]] + [range(1, q)] * (s - 1)))
 
 
 def affine_cartesian(q: int, factors) -> ProjectivePointSet:
@@ -128,8 +124,7 @@ def affine_cartesian(q: int, factors) -> ProjectivePointSet:
         sets.append(vals)
     if not sets:
         raise ValueError("need at least one factor")
-    pts = [ProjectivePoint(field, tup + (1,)) for tup in product(*sets)]
-    return ProjectivePointSet(field, pts)
+    return ProjectivePointSet(field, _lex_grid(sets + [[1]]))
 
 
 def all_projective_points(q: int, s: int) -> ProjectivePointSet:
@@ -138,65 +133,57 @@ def all_projective_points(q: int, s: int) -> ProjectivePointSet:
     field = PrimeField(q)
     if s < 1:
         raise ValueError(f"ambient dimension s must be at least 1, got {s}")
-    pts = []
-    for lead in range(s):
-        for rest in product(range(q), repeat=s - 1 - lead):
-            pts.append(ProjectivePoint(field, (0,) * lead + (1,) + rest))
-    return ProjectivePointSet(field, pts)
+    blocks = [
+        _lex_grid([[0]] * lead + [[1]] + [range(q)] * (s - 1 - lead)) for lead in range(s)
+    ]
+    return ProjectivePointSet(field, np.vstack(blocks))
 
 
 def parse_points(text: str, q: int) -> ProjectivePointSet:
     """Point list in the text format: one point per line, integer coordinates
-    separated by ':', comments starting with '#'."""
+    separated by ':', comments starting with '#'.  A refusal of a line names
+    the first offending one."""
     field = PrimeField(q)
-    pts = []
-    seen = {}
-    width = None
+    require_exact_int64(q)
+    rows, linenos = [], []
+    failure = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split(":")
         try:
-            coords = [int(p.strip()) for p in parts]
+            row = [int(p) % q for p in line.split(":")]
         except ValueError:
-            raise ValueError(f"line {lineno}: bad coordinate in {line!r}") from None
-        if width is None:
-            width = len(coords)
-            if width < 1:
-                raise ValueError(f"line {lineno}: no coordinates")
-        elif len(coords) != width:
-            raise ValueError(
-                f"line {lineno}: expected {width} coordinates, got {len(coords)}"
+            failure = ValueError(f"line {lineno}: bad coordinate in {line!r}")
+            break
+        if rows and len(row) != len(rows[0]):
+            failure = ValueError(
+                f"line {lineno}: expected {len(rows[0])} coordinates, got {len(row)}"
             )
+            break
+        rows.append(row)
+        linenos.append(lineno)
+    if rows:
+        coords = np.array(rows, dtype=np.int64)
         try:
-            p = ProjectivePoint(field, coords)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if p in seen:
-            raise ValueError(
-                f"line {lineno}: duplicate of the point on line {seen[p]}"
-            )
-        seen[p] = lineno
-        pts.append(p)
-    if not pts:
+            X = ProjectivePointSet(field, coords)
+        except ValueError:
+            # a zero or repeated row, on a line before any failing one
+            i, j = _first_repeat(_standard_position(coords, q))
+            if j < 0:
+                reason = "projective point needs a nonzero coordinate"
+            else:
+                reason = f"duplicate of the point on line {linenos[j]}"
+            raise ValueError(f"line {linenos[i]}: {reason}") from None
+    if failure is not None:
+        raise failure
+    if not rows:
         raise ValueError("no points in input")
-    return ProjectivePointSet(field, pts)
+    return X
 
 
 def format_points(X: ProjectivePointSet) -> str:
-    return "\n".join(":".join(str(v) for v in p.values) for p in X) + "\n"
-
-
-def _monomial_row(X: ProjectivePointSet, exponents) -> np.ndarray:
-    q = X.field.q
-    coords = X.coordinate_matrix()
-    row = np.ones(len(X), dtype=np.int64)
-    for j, e in enumerate(exponents):
-        base = coords[j]
-        for _ in range(e):
-            row = row * base % q
-    return row
+    return "\n".join(":".join(map(str, p)) for p in X) + "\n"
 
 
 def evaluation_matrix(X: ProjectivePointSet, basis) -> np.ndarray:
@@ -215,23 +202,32 @@ def evaluation_matrix(X: ProjectivePointSet, basis) -> np.ndarray:
             d = b.degree()
         else:
             raise ValueError(f"expected Monomial or Polynomial, got {type(b).__name__}")
-        if d >= 0:
-            if degree is None:
-                degree = d
-            elif d != degree:
-                raise ValueError(f"degree mismatch: {d} vs {degree}")
+        if degree is None:
+            degree = d
+        elif d != degree:
+            raise ValueError(f"degree mismatch: {d} vs {degree}")
     q = X.field.q
     require_exact_int64(q)
-    rows = np.zeros((len(entries), len(X)), dtype=np.int64)
-    for i, b in enumerate(entries):
-        if isinstance(b, Monomial):
-            rows[i] = _monomial_row(X, b.exponents)
-        else:
-            acc = np.zeros(len(X), dtype=np.int64)
-            for mono, coeff in b.terms.items():
-                acc = (acc + coeff * _monomial_row(X, mono.exponents)) % q
-            rows[i] = acc
-    return rows
+    if not entries:
+        return np.zeros((0, len(X)), dtype=np.int64)
+    # every term of every entry, the terms of one entry contiguous
+    starts, monomials, coeffs = [], [], []
+    for b in entries:
+        terms = {b: 1} if isinstance(b, Monomial) else b.terms
+        starts.append(len(monomials))
+        monomials.extend(terms)
+        coeffs.extend(terms.values())
+    # powers[e, i, j] = t_j^e at point i, up to the common degree
+    powers = np.empty((degree + 1,) + X.coords.shape, dtype=np.int64)
+    powers[0] = 1
+    for e in range(1, degree + 1):
+        powers[e] = powers[e - 1] * X.coords % q
+    exponents = np.array([m.exponents for m in monomials], dtype=np.int64)
+    values = np.ones((len(monomials), len(X)), dtype=np.int64)
+    for j in range(X.s):
+        values = values * powers[exponents[:, j], :, j] % q
+    terms = np.array(coeffs, dtype=np.int64)[:, None] * values % q
+    return np.add.reduceat(terms, starts, axis=0) % q
 
 
 def vanishing_ideal(X: ProjectivePointSet, order: MonomialOrder = GREVLEX) -> Ideal:
@@ -301,8 +297,9 @@ def vanishing_ideal(X: ProjectivePointSet, order: MonomialOrder = GREVLEX) -> Id
     return Ideal._from_reduced_basis(ring, basis, order, initial, summary)
 
 
-def zero_set(X: ProjectivePointSet, polys) -> tuple[ProjectivePoint, ...]:
-    """The points of X where every polynomial in the list vanishes."""
+def zero_set(X: ProjectivePointSet, polys) -> np.ndarray:
+    """The rows of X.coords, in order, at which every polynomial in the list
+    vanishes, as an (m, s) array."""
     polys = list(polys)
     for f in polys:
         if not f.is_homogeneous():
@@ -312,4 +309,4 @@ def zero_set(X: ProjectivePointSet, polys) -> tuple[ProjectivePoint, ...]:
         if f.is_zero():
             continue
         alive &= evaluation_matrix(X, [f])[0] == 0
-    return tuple(p for p, keep in zip(X.points, alive) if keep)
+    return X.coords[alive]

@@ -55,12 +55,23 @@ class FootprintProfile:
       mask 0 a subtree scores at most the need-th largest child popcount;
     - zero mask: once the mask is 0 the quotient is finite and only shrinks,
       so a node whose length is at most the best found is cut;
-    - dominance: a dominates b when both masks of a contain those of b.
-      Swapping b for a keeps a subset admissible and its survivor mask no
-      smaller, so where no completion can reach mask 0, and at leaves with a
-      nonzero mask, b is cut whenever a dominator a earlier in the pool is
-      left out.  The best nonzero-mask subset with the least index sum is
-      never cut, and zero-mask subsets are never dominance-cut.
+    - dominance: a dominates b when the survival mask of a contains that of
+      b.  Swapping b for a keeps a survivor mask no smaller, and a nonzero
+      survivor mask makes a subset admissible (below), so where no
+      completion can reach mask 0, and at leaves with a nonzero mask, b is
+      cut whenever a dominator a earlier in the pool is left out.  The best
+      nonzero-mask subset with the least index sum is never cut, and
+      zero-mask subsets are never dominance-cut.
+
+    A nonzero survivor mask implies admissibility.  If every member of M
+    spares the ray along t_i with base cell m', each exceeds m' away from
+    t_i, so has a positive exponent at some t_j, j != i.  Take a
+    componentwise maximal base cell m* along t_i and w = m* t_i^max_i: no
+    generator divides w and w lies in the box, so w is a witness cell.  For
+    j != i, m* + e_j lies in the box (base cells sit strictly inside it) but
+    is no base cell, so a generator, its i-th exponent at most max_i,
+    divides w t_j.  So w m lies in J for every m in M, and the witness bit
+    of w survives the AND over M.
 
     `counts[r]` is the number of nodes rank r's search expanded; the nodes
     of all ranks count against `budget`, past which BudgetExceededError is
@@ -93,14 +104,10 @@ class FootprintProfile:
         pool = self.pool = [pool[i] for i in rank]
         witness = self._witness = [witness[i] for i in rank]
         survival = [survival[i] for i in rank]
-        # dominators[b]: bit a set for each a < b whose masks contain b's
+        # dominators[b]: bit a set for each a < b whose survival mask
+        # contains b's
         dominators = [
-            sum(
-                1 << a
-                for a in range(b)
-                if witness[a] & witness[b] == witness[b]
-                and survival[a] & survival[b] == survival[b]
-            )
+            sum(1 << a for a in range(b) if survival[a] & survival[b] == survival[b])
             for b in range(len(pool))
         ]
         full = (1 << len(engine.ray_cells)) - 1

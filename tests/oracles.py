@@ -250,7 +250,7 @@ def minimum_distance_scan(code):
 def single_point_ideal(ring, point):
     """Linear forms cutting out one projective point: all 2x2 minors of the
     matrix stacking the variables over the coordinates."""
-    a = point.values
+    a = point
     variables = ring.gens()
     gens = []
     for i in range(len(a)):

@@ -9,9 +9,8 @@ import pytest
 
 from rghw.field import PrimeField
 from rghw.groebner import Ideal
-from rghw.linalg import matrix_rank
+from rghw.linalg import ModulusTooLargeError, matrix_rank
 from rghw.points import (
-    ProjectivePoint,
     ProjectivePointSet,
     affine_cartesian,
     all_projective_points,
@@ -34,28 +33,28 @@ def random_point_set(rng, q, s, n):
 
 def test_normalize_examples():
     f5 = PrimeField(5)
-    assert ProjectivePoint(f5, (2, 4, 0)).values == (1, 2, 0)
-    assert ProjectivePoint(f5, (0, 0, 3)).values == (0, 0, 1)
-    assert ProjectivePoint(f5, (1, 2, 0)).values == (1, 2, 0)
+    assert ProjectivePointSet(f5, [(2, 4, 0)])[0] == (1, 2, 0)
+    assert ProjectivePointSet(f5, [(0, 0, 3)])[0] == (0, 0, 1)
+    assert ProjectivePointSet(f5, [(1, 2, 0)])[0] == (1, 2, 0)
     # scaling by any nonzero constant lands on the same representative
-    assert ProjectivePoint(f5, (3, 6, 0)).values == ProjectivePoint(f5, (2, 4, 0)).values
+    assert ProjectivePointSet(f5, [(3, 6, 0)])[0] == ProjectivePointSet(f5, [(2, 4, 0)])[0]
 
 
 def test_coordinates_must_be_integers():
     # numpy integers are integers; a float is refused, not truncated
     f5 = PrimeField(5)
-    assert ProjectivePoint(f5, np.array([2, 4, 0])).values == (1, 2, 0)
-    assert ProjectivePoint(f5, (np.int64(7), np.uint8(1))).values == (1, 3)
+    assert ProjectivePointSet(f5, [np.array([2, 4, 0])])[0] == (1, 2, 0)
+    assert ProjectivePointSet(f5, [(np.int64(7), np.uint8(1))])[0] == (1, 3)
     assert len(affine_cartesian(5, [np.arange(3), (np.int32(1),)])) == 3
     with pytest.raises(TypeError):
-        ProjectivePoint(f5, (1.5, 2.9))
+        ProjectivePointSet(f5, [(1.5, 2.9)])
     with pytest.raises(TypeError):
         affine_cartesian(5, [(0.5, 1.7)])
 
 
 def test_zero_vector_rejected():
     with pytest.raises(ValueError):
-        ProjectivePoint(PrimeField(3), (0, 0, 0))
+        ProjectivePointSet(PrimeField(3), [(0, 0, 0)])
 
 
 def test_point_set_rejects_duplicates_and_mixed_widths():
@@ -73,7 +72,7 @@ def test_torus_sizes():
     assert len(projective_torus(3, 4)) == 8
     assert len(projective_torus(2, 4)) == 1
     for p in projective_torus(5, 3):
-        assert all(v for v in p.values)
+        assert all(v for v in p)
 
 
 def test_cartesian_sizes():
@@ -81,9 +80,9 @@ def test_cartesian_sizes():
     assert len(affine_cartesian(5, [(0, 1), (0, 1)])) == 4
     X = affine_cartesian(5, [(2,)])
     assert len(X) == 1
-    assert X[0].values == (1, 3)  # [2:1] scaled so the lead coordinate is 1
+    assert X[0] == (1, 3)  # [2:1] scaled so the lead coordinate is 1
     # [x : 1] up to scaling; [0:2:1] lands on the representative [0:1:2]
-    got = {p.values for p in affine_cartesian(3, [(0, 1), (1, 2)])}
+    got = set(affine_cartesian(3, [(0, 1), (1, 2)]))
     assert got == {(0, 1, 1), (0, 1, 2), (1, 1, 1), (1, 2, 1)}
 
 
@@ -99,7 +98,7 @@ def test_parse_and_format_round_trip():
     text = "# sample\n1:0:0\n0:1:0  # axis\n1:2:3\n"
     X = parse_points(text, 5)
     assert len(X) == 3
-    assert parse_points(format_points(X), 5).points == X.points
+    assert list(parse_points(format_points(X), 5)) == list(X)
 
 
 def test_parse_errors_carry_line_numbers():
@@ -150,7 +149,7 @@ def test_vanishing_ideal_generators_vanish(seed=82901):
                     assert type(coeff) is int and 0 < coeff < q
                     val = coeff
                     for i, e in enumerate(mono.exponents):
-                        val = val * pow(p.values[i], e, q) % q
+                        val = val * pow(p[i], e, q) % q
                     total = (total + val) % q
                 assert total == 0
         assert ideal.degree() == len(X)
@@ -245,8 +244,8 @@ def test_zero_set_examples():
     ring = PolyRing(PrimeField(3), 4)
     hits = zero_set(X3, [ring.parse("t1 - t2")])
     assert len(hits) == 4
-    assert all(p.values[0] == p.values[1] for p in hits)
-    assert zero_set(projective_torus(5, 3), [PolyRing(PrimeField(5), 3).parse("t1")]) == ()
+    assert all(p[0] == p[1] for p in hits)
+    assert len(zero_set(projective_torus(5, 3), [PolyRing(PrimeField(5), 3).parse("t1")])) == 0
     with pytest.raises(ValueError):
         zero_set(X3, [ring.parse("t1 + t2^2")])
 
@@ -263,7 +262,7 @@ def test_nonvanishing_count_matches_degree_drop(seed=69307):
         pool = ring.monomials_of_degree(1) + ring.monomials_of_degree(2)
         f = ring.from_terms({rng.choice(pool): rng.randrange(1, q)})
         hits = zero_set(X, [f])
-        if not hits:
+        if not len(hits):
             continue
         bigger = Ideal(ring, list(ideal.groebner_basis()) + [f])
         assert len(X) - len(hits) == ideal.degree() - bigger.degree()
@@ -283,9 +282,8 @@ def test_vanishing_ideal_respects_order_cache():
 
 def test_coordinate_matrix_shape():
     X = projective_torus(3, 4)
-    mat = X.coordinate_matrix()
-    assert mat.shape == (4, 8)
-    assert (mat[0] == 1).all()
+    assert X.coords.shape == (8, 4)
+    assert (X.coords[:, 0] == 1).all()
 
 
 def test_large_prime_basis_vanishes_exactly():
@@ -309,7 +307,37 @@ def test_large_prime_basis_vanishes_exactly():
 
 
 def test_evaluation_refuses_moduli_beyond_int64():
-    X = ProjectivePointSet(PrimeField(10**18 + 3), [(1, 2, 3), (0, 0, 1)])
-    ring = PolyRing(X.field, 3)
+    # the point set itself refuses such q, before anything is evaluated
     with pytest.raises(ValueError, match="q <= 3037000500"):
-        evaluation_matrix(X, [ring.parse("t1")])
+        ProjectivePointSet(PrimeField(10**18 + 3), [(1, 2, 3), (0, 0, 1)])
+
+
+def test_point_set_refuses_moduli_beyond_int64():
+    with pytest.raises(ModulusTooLargeError):
+        ProjectivePointSet(PrimeField(10**18 + 3), [(1, 2, 3)])
+
+
+def test_evaluation_matrix_matches_polynomial_evaluate(seed=40961):
+    # monomials and random homogeneous polynomials of degree <= 6, against
+    # evaluation with Python integers, up to the largest q int64 allows
+    rng = random.Random(seed)
+    for q in (2, 3, 5, 7, 10**9 + 7, 3037000493):
+        for s in (2, 3, 4):
+            field = PrimeField(q)
+            ring = PolyRing(field, s)
+            draws = [[rng.randrange(q) for _ in range(s)] for _ in range(12)]
+            points = sorted({ProjectivePointSet(field, [p])[0] for p in draws if any(p)})
+            X = ProjectivePointSet(field, points)
+            for d in range(7):
+                pool = ring.monomials_of_degree(d)
+                basis = rng.sample(pool, min(4, len(pool)))
+                polys = [ring.from_terms({m: 1}) for m in basis]
+                for _ in range(3):
+                    terms = rng.sample(pool, rng.randrange(1, min(5, len(pool)) + 1))
+                    f = ring.from_terms({m: rng.randrange(1, q) for m in terms})
+                    basis.append(f)
+                    polys.append(f)
+                rows = evaluation_matrix(X, basis)
+                assert rows.shape == (len(basis), len(X))
+                for j, p in enumerate(X):
+                    assert [int(v) for v in rows[:, j]] == [f.evaluate(p) for f in polys]

@@ -385,7 +385,7 @@ def test_enumeration_matches_groebner_degrees(seed=39209):
             for basis in batch:
                 polys = [code.coefficients_to_polynomial(row) for row in basis]
                 V = zero_set(X, polys)
-                if not V:
+                if not len(V):
                     continue
                 joined = Ideal(code.ring, list(code.ideal.groebner_basis()) + polys)
                 assert joined.degree() == len(V)
