@@ -9,6 +9,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from pathlib import Path
 
 from .codes import (
@@ -227,13 +228,24 @@ def _validate_config(config: ProblemConfig):
 @dataclass
 class Problem:
     """Loaded problem: the point set (when available), the working ideal,
-    and certification state for ideal-generator inputs."""
+    and certification state for ideal-generator inputs.  `points` is the
+    set a torus, cartesian or file source gives.  For an ideal, X is its
+    zero set in P^(s-1)(F_q), found on first use, so commands that never
+    read it (`hilbert`, `matrix` with fp) never enumerate P^(s-1)(F_q)."""
 
     config: ProblemConfig
     order: object
-    X: ProjectivePointSet | None
     given_ideal: Ideal | None
     ring: PolyRing
+    points: ProjectivePointSet | None = None
+
+    @cached_property
+    def X(self) -> ProjectivePointSet | None:
+        if self.given_ideal is None:
+            return self.points
+        q, s = self.config.q, self.config.s
+        rows = zero_set(all_projective_points(q, s), self.given_ideal.gens)
+        return ProjectivePointSet(self.ring.field, rows) if len(rows) else None
 
     def point_ideal(self) -> Ideal:
         return self.X.vanishing_ideal(self.order)
@@ -266,13 +278,13 @@ def load_problem(config: ProblemConfig, order, config_dir: Path) -> Problem:
         if config.s < 2:
             raise ConfigError("torus needs s >= 2")
         X = projective_torus(config.q, config.s)
-        return Problem(config, order, X, None, PolyRing(fieldq, config.s))
+        return Problem(config, order, None, PolyRing(fieldq, config.s), X)
     if config.source == "cartesian":
         try:
             X = affine_cartesian(config.q, config.factors)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        return Problem(config, order, X, None, PolyRing(fieldq, X.s))
+        return Problem(config, order, None, PolyRing(fieldq, X.s), X)
     if config.source == "file":
         path = config_dir / config.points_file
         try:
@@ -283,13 +295,10 @@ def load_problem(config: ProblemConfig, order, config_dir: Path) -> Problem:
             X = parse_points(text, config.q)
         except ValueError as exc:
             raise ConfigError(f"{config.points_file}: {exc}") from None
-        return Problem(config, order, X, None, PolyRing(fieldq, X.s))
+        return Problem(config, order, None, PolyRing(fieldq, X.s), X)
     ring = PolyRing(fieldq, config.s)
     gens = [_parse_generator(ring, g) for g in config.generators]
-    ideal = Ideal(ring, gens, order)
-    rows = zero_set(all_projective_points(config.q, config.s), gens)
-    X = ProjectivePointSet(fieldq, rows) if len(rows) else None
-    return Problem(config, order, X, ideal, ring)
+    return Problem(config, order, Ideal(ring, gens, order), ring)
 
 
 def certification_report(problem: Problem) -> tuple[bool, list[str]]:
@@ -592,7 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.budget < 0:
+        parser.error(f"argument --budget: must be nonnegative, got {args.budget}")
     try:
         text = Path(args.config).read_text()
     except OSError as exc:

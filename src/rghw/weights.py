@@ -5,8 +5,6 @@ compute the relative generalized Hamming weight for vanishing ideals."""
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
 from .codes import (
@@ -239,19 +237,26 @@ class CandidateScan:
     With C_1 in reduced echelon form on pivot set P, each such D is the row
     space of E + L C_1 for exactly one reduced echelon basis E supported off
     P and one L in F_q^(r x k1), so the pass enumerates the pairs (E, L) and
-    filters nothing: there are q^(r k1) [k - k1, r]_q of them.
+    filters nothing: there are q^(r k1) [k - k1, r]_q of them, and that
+    visited count is what the budget gate weighs.
 
-    For one pivot pattern of E, the evaluations (E + L C_1) G form an affine
-    family base + sum_t v_t dirs[t], v in F_q^m, with one direction per free
-    entry of E and one per entry of L (`_echelon_family`).  The pass splits
-    v into a head and a tail: D vanishes at a point exactly where the head's
-    column there equals minus the tail's, mod q.  Each column is packed into
-    one integer, so the test is one comparison per (head, tail, point)."""
+    Fix the pivots p_0 < ... < p_(r-1) of E.  Row i of (E + L C_1) G is then
+    off[p_i] + sum v_j off[j] + sum L_il C_1[l] G, over the off-pivot
+    columns j > p_i that are no pivot of E: an affine family of codewords
+    that depends only on p_i and the later pivots, independent of the other
+    rows.  The common zero set of D is the AND of its rows' zero sets, so
+    the pass builds each row family's zero sets once, as bitmasks over X
+    (`_zero_masks`), and visits every subspace as one AND across rows and
+    one popcount.  Row 0's family is the largest (its free columns contain
+    every later row's); it is streamed in steps and sits on the contiguous
+    axis, while the later rows' families, found by a depth-first walk from
+    the last pivot, are held while their patterns are visited and combined
+    in blocks (`_and_blocks`) that drop masks already empty."""
 
     def __init__(self, query: WeightQuery, budget: int = 10**7):
         code = query.code
-        k, n, q, r = code.k, code.n, code.q, query.r
-        total = gaussian_binomial(k, r, q)
+        k, n, q, r, k1 = code.k, code.n, code.q, query.r, query.k1
+        total = q ** (r * k1) * gaussian_binomial(k - k1, r, q)
         if total > budget:
             raise BudgetExceededError(total, budget)
         # products: C_1 coefficients times k generator rows, and base plus
@@ -261,38 +266,45 @@ class CandidateScan:
         sub = query.subcode
         pivots = {int(np.argmax(row != 0)) for row in sub.coeff_rows}
         rows = code.generator_rows
-        off_pivot_rows = rows[[c for c in range(k) if c not in pivots]]
+        off = rows[[c for c in range(k) if c not in pivots]]
+        words = -(-n // 64)
         sub_evals = np.matmul(sub.coeff_rows, rows) % q
-        # base-q packing of r residues into int64 words, `group` per word
-        group = max(1, 62 // q.bit_length())
-        pack = np.zeros((-(-r // group), r), dtype=np.int64)
-        for i in range(r):
-            pack[i // group, i] = q ** (i % group)
-        tail_len = 0
-        while q ** (tail_len + 1) <= _SCAN_BATCH:
-            tail_len += 1
-        count_dtype = np.min_scalar_type(n)
+        width = k - k1
+
+        def family(p, later):
+            free = [j for j in range(p + 1, width) if j not in later]
+            dirs = np.concatenate([off[free], sub_evals])
+            return q ** len(dirs), _zero_masks(off[p], dirs, q, words)
+
         feasible_count = family_count = max_vanishing = 0
-        for pattern in combinations(range(k - sub.k1), r):
-            base, dirs = _echelon_family(pattern, off_pivot_rows, sub_evals)
-            split = max(0, len(dirs) - tail_len)
-            tail = -_span(dirs[split:], q) % q
-            # words as (word, point, tail): with the tail as the inner axis
-            # each comparison runs over one long contiguous row
-            tail_words = np.einsum("gi,tin->gnt", pack, tail)
-            heads = q**split
-            step = max(1, _SCAN_BATCH // len(tail))
-            for lo in range(0, heads, step):
-                coeffs = _digits(lo, min(lo + step, heads), split, q)
-                head = (base + np.tensordot(coeffs, dirs[:split], axes=1)) % q
-                head_words = np.einsum("gi,cin->gcn", pack, head)
-                hits = head_words[0, :, :, None] == tail_words[0]
-                for g in range(1, len(pack)):
-                    hits &= head_words[g, :, :, None] == tail_words[g]
-                vanishing = hits.sum(axis=1, dtype=count_dtype)
-                feasible_count += vanishing.size
-                family_count += int(np.count_nonzero(vanishing))
-                max_vanishing = max(max_vanishing, int(vanishing.max()))
+
+        def descend(i, later, outer, count):
+            # rows i + 1.. have the pivots `later`, `count` codeword tuples
+            # and, in `outer`, their families' nonzero masks; once one
+            # family has none, no subspace below shares a zero and the
+            # walk only counts
+            nonlocal feasible_count, family_count, max_vanishing
+            live = all(len(masks) for masks in outer)
+            for p in range(i, later[0] if later else width):
+                size, steps = family(p, later)
+                if i:
+                    below = outer
+                    if live:
+                        masks = np.concatenate(list(steps))
+                        below = outer + [masks[masks.any(axis=1)]]
+                    descend(i - 1, (p,) + later, below, count * size)
+                    continue
+                feasible_count += count * size
+                for chunk in steps if live else ():
+                    step = max(1, _SCAN_BATCH // len(chunk))
+                    for block in _and_blocks(outer, words):
+                        for lo in range(0, len(block), step):
+                            common = block[lo : lo + step, None] & chunk
+                            vanishing = np.bitwise_count(common).sum(axis=-1)
+                            family_count += int(np.count_nonzero(vanishing))
+                            max_vanishing = max(max_vanishing, int(vanishing.max()))
+
+        descend(r - 1, (), [], 1)
         if feasible_count == 0:
             raise RuntimeError(f"no feasible subspace despite r = {r} <= k - k1")
         self.feasible_count = feasible_count
@@ -312,36 +324,69 @@ class CandidateScan:
         return self.min_support
 
 
-# (head, tail) pairs per numpy step: bounds the scan's peak memory.
+# masks or (head, tail) pairs per numpy step: bounds the scan's peak memory.
 _SCAN_BATCH = 1 << 14
 
 
-def _echelon_family(pattern, off_pivot_rows: np.ndarray, sub_evals: np.ndarray):
-    """Evaluations of the subspaces whose echelon part E has the given pivot
-    pattern on the off-pivot coordinates: base (r, n) and dirs (m, r, n) such
-    that the rows of (E + L C_1) G are base + sum_t v_t dirs[t] for exactly
-    one v in F_q^m."""
-    r, (width, n) = len(pattern), off_pivot_rows.shape
-    slots = [
-        (i, off_pivot_rows[j])
-        for i, p in enumerate(pattern)
-        for j in range(p + 1, width)
-        if j not in pattern
-    ]
-    slots += [(i, e) for i in range(r) for e in sub_evals]
-    dirs = np.zeros((len(slots), r, n), dtype=np.int64)
-    for t, (i, vec) in enumerate(slots):
-        dirs[t, i] = vec
-    return off_pivot_rows[list(pattern)], dirs
+def _zero_masks(base: np.ndarray, dirs: np.ndarray, q: int, words: int):
+    """Zero sets of the codewords base + sum_t v_t dirs[t] mod q, for v in
+    F_q^len(dirs), as bitmasks of `words` uint64 words: yields arrays of
+    shape (c, words), at most _SCAN_BATCH codewords each.
+
+    v splits into a head and a tail: a codeword vanishes at a point exactly
+    where the head's value there equals minus the tail's, so each step
+    compares a block of heads with every tail, in the smallest unsigned
+    type that holds 2q.  Both are padded to 64 * words columns, heads with
+    0 and tails with q, which no residue equals, so the comparison fills
+    whole mask words and `packbits` turns it into masks directly."""
+    n = len(base)
+    tail_len = 0
+    while tail_len < len(dirs) and q ** (tail_len + 1) <= _SCAN_BATCH:
+        tail_len += 1
+    split = len(dirs) - tail_len
+    dtype = np.min_scalar_type(2 * q)
+    span = _span(-dirs[split:] % q, q, dtype)
+    tail = np.full((len(span), 64 * words), q, dtype=dtype)
+    tail[:, :n] = span
+    heads = q**split
+    step = max(1, _SCAN_BATCH // len(tail))
+    for lo in range(0, heads, step):
+        coeffs = _digits(lo, min(lo + step, heads), split, q)
+        head = np.zeros((len(coeffs), 64 * words), dtype=dtype)
+        head[:, :n] = (base + coeffs @ dirs[:split]) % q
+        zero = head[:, None, :] == tail
+        yield np.packbits(zero, bitorder="little").view(np.uint64).reshape(-1, words)
 
 
-def _span(dirs: np.ndarray, q: int) -> np.ndarray:
-    """Every sum_t v_t dirs[t] for v in F_q^len(dirs), unreduced, as an
-    array of shape (q^len(dirs), r, n)."""
-    out = np.zeros((1,) + dirs.shape[1:], dtype=np.int64)
+def _and_blocks(families: list[np.ndarray], words: int):
+    """The ANDs of one mask from each family, every combination once, in
+    blocks of at most _SCAN_BATCH masks with the zero masks dropped; the
+    empty product is the single all-ones mask."""
+    if not families:
+        yield ~np.zeros((1, words), dtype=np.uint64)
+        return
+    *outer, inner = families
+    for block in _and_blocks(outer, words):
+        for ilo in range(0, len(inner), _SCAN_BATCH):
+            part = inner[ilo : ilo + _SCAN_BATCH]
+            step = max(1, _SCAN_BATCH // len(part))
+            for lo in range(0, len(block), step):
+                both = (block[lo : lo + step, None] & part).reshape(-1, words)
+                both = both[both.any(axis=1)]
+                if len(both):
+                    yield both
+
+
+def _span(dirs: np.ndarray, q: int, dtype) -> np.ndarray:
+    """Every sum_t v_t dirs[t] mod q for v in F_q^len(dirs), as an array of
+    shape (q^len(dirs), width) in the unsigned `dtype`, which must hold
+    2q - 2.  Each direction adds its q multiples, and a sum s is reduced as
+    min(s, s - q): below q, s - q wraps around past s.  No step divides."""
+    out = np.zeros((1, dirs.shape[1]), dtype=dtype)
     for d in dirs:
-        multiples = np.arange(q, dtype=np.int64)[:, None, None, None]
-        out = (out[None] + multiples * d).reshape((-1,) + dirs.shape[1:])
+        multiples = (np.arange(q)[:, None] * d % q).astype(dtype)
+        out = (multiples[:, None] + out).reshape(-1, dirs.shape[1])
+        np.minimum(out, out - dtype.type(q), out=out)
     return out
 
 

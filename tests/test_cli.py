@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from rghw import cli
 from rghw.cli import main, parse_config, ConfigError
 
 
@@ -212,6 +213,66 @@ def test_budget_exhaustion_marks_and_exit_3(capsys, tmp_path):
         "line 5, d=1, r=1: enumeration needs 31 candidates, budget is 10\n"
         "line 5, d=1, r=2: enumeration needs 31 candidates, budget is 10\n"
     )
+
+
+def test_budget_weighs_the_subspaces_a_subcode_leaves(capsys, tmp_path):
+    # with k1 = 1 the scan visits 5 [2, 1]_5 = 30 and 25 [2, 2]_5 = 25
+    # subspaces, not the [3, r]_5 = 31 of the whole code
+    (tmp_path / "t.cfg").write_text(
+        "q = 5\ns = 3\nsource = torus\n\n[query]\nd = 1\nr = all\nk1 = 1\nG = t1\n"
+    )
+    argv = ["weights", "--config", str(tmp_path / "t.cfg"), "--format", "csv",
+            "--with-bruteforce"]
+    code, out, err = run(capsys, argv + ["--budget", "10"])
+    assert code == 3
+    assert err == (
+        "line 5, d=1, r=1: enumeration needs 30 candidates, budget is 10\n"
+        "line 5, d=1, r=2: enumeration needs 25 candidates, budget is 10\n"
+    )
+    # a budget of exactly the visited count finishes both rows, as the
+    # default budget does
+    code, out, err = run(capsys, argv + ["--budget", "30"])
+    assert (code, err) == (0, "")
+    assert mask_ms(out) == mask_ms(run(capsys, argv)[1])
+    assert out.splitlines()[1].split(",")[4:10] == ["12", "12", "12", "12", "14", "28"]
+
+
+@pytest.mark.parametrize("budget", ["-3", "-1"])
+def test_negative_budget_is_usage_error(capsys, torus3_cfg, budget):
+    with pytest.raises(SystemExit) as exc:
+        main(["weights", "--config", torus3_cfg, "--budget", budget])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: rghw")
+    assert f"argument --budget: must be nonnegative, got {budget}" in captured.err
+
+
+def test_zero_budget_is_accepted(capsys, torus3_cfg):
+    code, out, err = run(capsys, ["weights", "--config", torus3_cfg, "--budget", "0"])
+    assert code == 3
+    assert out.startswith("d  r") and "!" in out
+
+
+def test_ideal_zero_set_is_enumerated_only_when_read(capsys, tmp_path, monkeypatch):
+    # -1 is no square mod 3, so these quadrics share no point of P^2(F_3)
+    (tmp_path / "t.cfg").write_text(
+        "q = 3\ns = 3\nsource = ideal\ngenerators = t1^2 + t2^2 ; t2^2 + t3^2\n"
+        "function = fp\ndmax = 2\n\n[query]\nd = 1\n"
+    )
+    argv = ["--config", str(tmp_path / "t.cfg")]
+
+    def refuse(q, s):
+        raise AssertionError("P^(s-1)(F_q) enumerated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "all_projective_points", refuse)
+        assert run(capsys, ["matrix"] + argv) == (
+            0, "d  r1  r2  r3  r4\n1   2   3   4   -\n2   1   2   3   4\n", "")
+        assert run(capsys, ["hilbert"] + argv)[0] == 0
+    for command in ("weights", "vanishing-ideal", "code-info"):
+        assert run(capsys, [command] + argv) == (
+            2, "", "config error: the supplied ideal has an empty zero set\n")
 
 
 def test_footprint_walk_budget_marks_and_exit_3(capsys, tmp_path):

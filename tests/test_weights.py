@@ -35,6 +35,7 @@ from rghw.points import (
     zero_set,
 )
 from rghw.polyring import ORDERS, Monomial, PolyRing
+from rghw import weights
 from rghw.weights import (
     CandidateScan,
     FootprintProfile,
@@ -337,6 +338,61 @@ def test_scan_on_large_fields_matches_support_oracle():
         assert (scan.min_support, scan.family_count, scan.feasible_count) == \
             rghw_by_support_scan(code, sub, r)
     assert scan.feasible_count == 65538 and scan.min_support == 2
+
+
+def test_scan_masks_span_several_words():
+    # 70 points: every zero-set mask takes two 64-bit words
+    rng = random.Random(70)
+    code = build_code(random_point_set(rng, 11, 3, 70), 1)
+    assert (code.n, code.k) == (70, 3)
+    for k1 in (0, 1):
+        sub = random_subcode(rng, code, k1)
+        for r in (1, 2):
+            scan = CandidateScan(WeightQuery(code, r, sub))
+            assert (scan.min_support, scan.family_count, scan.feasible_count) == \
+                rghw_by_support_scan(code, sub, r), (k1, r)
+
+
+def test_scan_streams_a_row_family_past_one_batch():
+    # k = 10 over F_3: at r = 1 the first pivot's family has 3^9 = 19683
+    # codewords, more than one numpy step holds, with or without a subcode
+    rng = random.Random(0)
+    code = build_code(random_point_set(rng, 3, 4, 16), 2)
+    assert code.k == 10 and 3 ** 9 > weights._SCAN_BATCH
+    for k1 in (0, 1):
+        sub = random_subcode(rng, code, k1)
+        scan = CandidateScan(WeightQuery(code, 1, sub))
+        assert (scan.min_support, scan.family_count, scan.feasible_count) == \
+            rghw_by_support_scan(code, sub, 1), k1
+
+
+@pytest.mark.parametrize("batch", [5, 64])
+def test_scan_chunks_the_product_of_later_rows(monkeypatch, batch):
+    # r = 3, k1 = 1 over F_3 with k = 6: in the pivot pattern (0, 1, 3) rows
+    # 1 and 2 take 27 and 9 codewords, so with a step of `batch` masks their
+    # 243 ANDs, row 0's family and the final pairs all come in several blocks
+    rng = random.Random(3)
+    code = build_code(random_point_set(rng, 3, 4, 6), 2)
+    assert code.k == 6
+    sub = random_subcode(rng, code, 1)
+    expected = rghw_by_support_scan(code, sub, 3)
+    monkeypatch.setattr(weights, "_SCAN_BATCH", batch)
+    scan = CandidateScan(WeightQuery(code, 3, sub))
+    assert (scan.min_support, scan.family_count, scan.feasible_count) == expected
+
+
+def test_scan_budget_weighs_the_visited_count():
+    # with a subcode the scan visits q^(r k1) [k - k1, r]_q subspaces, fewer
+    # than the [k, r]_q of the whole code, and the gate weighs that count
+    code, _ = torus3_query(1)
+    sub = validate_subcode(code, [code.ring.parse("t1")])
+    for r in (1, 2, 3):
+        visited = 3 ** r * gaussian_binomial(code.k - 1, r, 3)
+        assert visited < gaussian_binomial(code.k, r, 3)
+        with pytest.raises(BudgetExceededError) as err:
+            CandidateScan(WeightQuery(code, r, sub), budget=visited - 1)
+        assert err.value.needed == visited
+        assert CandidateScan(WeightQuery(code, r, sub), budget=visited).feasible_count == visited
 
 
 def test_empty_family_falls_back_to_degree():
