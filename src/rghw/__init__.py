@@ -7,7 +7,6 @@ from .codes import (
     EvaluationCode,
     SubcodeSpec,
     build_code,
-    rghw_bruteforce,
     singleton_bound,
     validate_subcode,
 )
@@ -50,10 +49,8 @@ from .polyring import (
 from .weights import (
     CandidateScan,
     FootprintProfile,
-    WeightQuery,
     rgff,
     rgmdf,
-    vasconcelos,
 )
 
 __version__ = "0.1.0"
@@ -81,7 +78,6 @@ __all__ = [
     "ProjectivePointSet",
     "SubcodeSpec",
     "UnsupportedDimensionError",
-    "WeightQuery",
     "affine_cartesian",
     "all_projective_points",
     "buchberger",
@@ -93,12 +89,10 @@ __all__ = [
     "parse_points",
     "projective_torus",
     "reduced_basis",
-    "rghw_bruteforce",
     "rgff",
     "rgmdf",
     "singleton_bound",
     "validate_subcode",
     "vanishing_ideal",
-    "vasconcelos",
     "zero_set",
 ]

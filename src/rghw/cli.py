@@ -15,7 +15,6 @@ from pathlib import Path
 from .codes import (
     BudgetExceededError,
     build_code,
-    rghw_bruteforce,
     singleton_bound,
     validate_subcode,
 )
@@ -32,7 +31,7 @@ from .points import (
     zero_set,
 )
 from .polyring import ORDERS, PolyParseError, PolyRing
-from .weights import CandidateScan, FootprintProfile, WeightQuery, rgmdf, vasconcelos
+from .weights import CandidateScan, FootprintProfile
 
 WEIGHTS_HEADER = (
     "d", "r", "k1", "G", "fp", "delta", "vasconcelos", "Mr",
@@ -420,7 +419,7 @@ def cmd_code_info(problem: Problem, args) -> tuple[str, int]:
     return render(("d", "n", "k", "reg"), rows, args.format), 0
 
 
-def _subcode_for(code, g_strings, k1, order):
+def _subcode_for(code, g_strings, k1):
     polys = [_parse_generator(code.ring, g) for g in g_strings]
     try:
         sub = validate_subcode(code, polys)
@@ -457,7 +456,7 @@ def cmd_weights(problem: Problem, args) -> tuple[str, int]:
         if d not in codes:
             codes[d] = build_code(X, d, problem.order)
         code = codes[d]
-        sub = _subcode_for(code, query.g_strings, query.k1, problem.order)
+        sub = _subcode_for(code, query.g_strings, query.k1)
         rmax = code.k - sub.k1
         if rmax < 1:
             raise ConfigError(
@@ -490,21 +489,20 @@ def cmd_weights(problem: Problem, args) -> tuple[str, int]:
                 fp_val = str(profile.value(r))
                 cand_mono = str(profile.candidate_count(r))
             try:
-                scan = CandidateScan(WeightQuery(code, r, sub), args.budget)
+                scan = CandidateScan(code, r, sub, args.budget)
             except BudgetExceededError as exc:
-                delta = theta = cand_poly = BUDGET_MARK
-                mr = BUDGET_MARK if args.with_bruteforce else "-"
+                weight = cand_poly = BUDGET_MARK
                 _report_budget(query.lineno, d, r, exc)
                 budget_hit = True
             else:
-                delta, theta = str(scan.delta), str(scan.theta)
-                cand_poly = str(scan.family_count)
-                mr = str(scan.min_support) if args.with_bruteforce else "-"
+                weight, cand_poly = str(scan.min_support), str(scan.family_count)
+            # delta, vasconcelos and M_r are one number for a vanishing ideal
+            mr = weight if args.with_bruteforce else "-"
             ms = str(int((time.perf_counter() - started) * 1000))
             rows.append(
                 [
                     str(d), str(r), str(sub.k1), ";".join(query.g_strings),
-                    fp_val, delta, theta, mr,
+                    fp_val, weight, weight, mr,
                     str(singleton_bound(code, sub, r)),
                     cand_poly, cand_mono, ms,
                 ]
@@ -535,9 +533,16 @@ def cmd_matrix(problem: Problem, args) -> tuple[str, int]:
     for d in range(1, dmax + 1):
         if needs_points:
             code = build_code(X, d, problem.order)
-            sub = _subcode_for(code, config.g_strings, config.k1, problem.order)
+            sub = _subcode_for(code, config.g_strings, config.k1)
             per_d.append((d, code.k - sub.k1, code, sub))
         else:
+            # fp has no code, so G is checked for its degree but not for
+            # independence
+            for poly in (_parse_generator(problem.ring, g) for g in config.g_strings):
+                if poly.degree() != d:
+                    raise ConfigError(
+                        f"subcode generator {poly.format()} is not homogeneous of degree {d}"
+                    )
             per_d.append((d, ideal.hilbert_function(d) - config.k1, None, None))
     rmax = max(entry[1] for entry in per_d)
     if rmax < 1:
@@ -561,12 +566,8 @@ def cmd_matrix(problem: Problem, args) -> tuple[str, int]:
                     raise profile
                 if function == "fp":
                     cells.append(str(profile.value(r)))
-                elif function == "delta":
-                    cells.append(str(rgmdf(WeightQuery(code, r, sub), args.budget)))
-                elif function == "vasconcelos":
-                    cells.append(str(vasconcelos(WeightQuery(code, r, sub), args.budget)))
                 else:
-                    cells.append(str(rghw_bruteforce(code, sub, r, args.budget)))
+                    cells.append(str(CandidateScan(code, r, sub, args.budget).min_support))
             except BudgetExceededError as exc:
                 cells.append(BUDGET_MARK)
                 _report_budget(config.function_lineno, d, r, exc)

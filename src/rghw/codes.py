@@ -1,6 +1,5 @@
 """Evaluation codes on projective point sets: generator matrices indexed by
-standard monomials, subcode validation, and relative generalized Hamming
-weights by exhaustive subspace enumeration."""
+standard monomials, subcode validation, and the Singleton bound."""
 
 from __future__ import annotations
 
@@ -93,25 +92,21 @@ def build_code(X: ProjectivePointSet, d: int, order: MonomialOrder = GREVLEX) ->
 
 class SubcodeSpec:
     """A validated independent generator list for the subcode: the original
-    polynomials, echelon-normalized representatives with distinct leading
-    monomials, their coefficient rows, and their evaluation rows."""
+    polynomials and, in reduced echelon form, their coefficient rows over
+    the standard monomials, whose distinct pivots are the leading monomials
+    of the echelon representatives."""
 
     def __init__(self, code: EvaluationCode, polynomials, normalized_coeffs: np.ndarray):
         self.code = code
         self.polynomials = tuple(polynomials)
         self.coeff_rows = normalized_coeffs
         self.k1 = normalized_coeffs.shape[0]
-        self.normalized = tuple(
-            code.coefficients_to_polynomial(row) for row in normalized_coeffs
-        )
-        self.rows = (
-            evaluation_matrix(code.X, self.normalized)
-            if self.k1
-            else np.zeros((0, code.n), dtype=np.int64)
-        )
 
     def __repr__(self) -> str:
-        inner = ", ".join(p.format(self.code.order) for p in self.normalized)
+        inner = ", ".join(
+            self.code.coefficients_to_polynomial(row).format(self.code.order)
+            for row in self.coeff_rows
+        )
         return f"SubcodeSpec(k1={self.k1}, [{inner}])"
 
 
@@ -139,17 +134,6 @@ def validate_subcode(code: EvaluationCode, polynomials) -> SubcodeSpec:
         raise ValueError(f"more generators than the code dimension {code.k}")
     reduced, _ = rref(A, q)
     return SubcodeSpec(code, polys, reduced)
-
-
-def rghw_bruteforce(
-    code: EvaluationCode, sub: SubcodeSpec, r: int, budget: int = 10**7
-) -> int:
-    """Minimum support size over all r-dimensional subcodes D of C with
-    D meeting the fixed subcode only in zero: n minus the largest common
-    zero set found by one exhaustive `CandidateScan`."""
-    from .weights import CandidateScan, WeightQuery  # weights imports this module
-
-    return CandidateScan(WeightQuery(code, r, sub), budget).min_support
 
 
 def singleton_bound(code: EvaluationCode, sub: SubcodeSpec, r: int) -> int:

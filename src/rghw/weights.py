@@ -1,7 +1,9 @@
-"""The three weight functions on a degree-d slice: the footprint lower bound
-from monomial subsets of the initial ideal, and the two subspace-enumeration
-functions (degree-drop maximization and colon-degree minimization) that both
-compute the relative generalized Hamming weight for vanishing ideals."""
+"""The weight functions on a degree-d slice: the footprint lower bound
+from monomial subsets of the initial ideal, and the relative generalized
+Hamming weight M_r by one scan over the subspaces independent of the
+subcode.  For the vanishing ideal of X, which every code is built on, the
+relative generalized minimum distance function and the Vasconcelos function
+both equal M_r, so the scan serves all three."""
 
 from __future__ import annotations
 
@@ -15,27 +17,6 @@ from .codes import (
 )
 from .groebner import Ideal
 from .linalg import gaussian_binomial, require_exact_int64
-
-
-class WeightQuery:
-    """A validated (d, r, k1, G) tuple bound to a code: r must lie in
-    [1, k - k1] for the code's dimension k."""
-
-    def __init__(self, code: EvaluationCode, r: int, subcode: SubcodeSpec | None = None):
-        if subcode is None:
-            subcode = validate_subcode(code, [])
-        if subcode.code is not code:
-            raise ValueError("subcode was validated against a different code")
-        if not 1 <= r <= code.k - subcode.k1:
-            raise ValueError(f"rank r={r} outside [1, {code.k - subcode.k1}]")
-        self.code = code
-        self.d = code.d
-        self.r = r
-        self.k1 = subcode.k1
-        self.subcode = subcode
-
-    def __repr__(self) -> str:
-        return f"WeightQuery(d={self.d}, r={self.r}, k1={self.k1})"
 
 
 class FootprintProfile:
@@ -215,17 +196,10 @@ class FootprintProfile:
         return counts
 
 
-def rgff(ideal_or_query, d: int | None = None, r: int | None = None) -> int:
+def rgff(ideal: Ideal, d: int, r: int) -> int:
     """Footprint lower bound fp(d, r) for a graded ideal, from the maximal
-    degree drop over admissible monomial subsets of the degree-d footprint.
-    Accepts either (ideal, d, r) or a WeightQuery."""
-    if isinstance(ideal_or_query, WeightQuery):
-        query = ideal_or_query
-        profile = FootprintProfile(query.code.ideal, query.d, query.r)
-        return profile.value(query.r)
-    if d is None or r is None:
-        raise ValueError("rgff needs d and r when called with an ideal")
-    return FootprintProfile(ideal_or_query, d, r).value(r)
+    degree drop over admissible monomial subsets of the degree-d footprint."""
+    return FootprintProfile(ideal, d, r).value(r)
 
 
 class CandidateScan:
@@ -251,19 +225,31 @@ class CandidateScan:
     every later row's); it is streamed in steps and sits on the contiguous
     axis, while the later rows' families, found by a depth-first walk from
     the last pivot, are held while their patterns are visited and combined
-    in blocks (`_and_blocks`) that drop masks already empty."""
+    in blocks (`_and_blocks`) that drop masks already empty.
 
-    def __init__(self, query: WeightQuery, budget: int = 10**7):
-        code = query.code
-        k, n, q, r, k1 = code.k, code.n, code.q, query.r, query.k1
+    `sub` defaults to the zero subcode; r must lie in [1, k - k1], and `sub`
+    must have been validated against `code`."""
+
+    def __init__(
+        self,
+        code: EvaluationCode,
+        r: int,
+        sub: SubcodeSpec | None = None,
+        budget: int = 10**7,
+    ):
+        if sub is None:
+            sub = validate_subcode(code, [])
+        if sub.code is not code:
+            raise ValueError("subcode was validated against a different code")
+        k, n, q, k1 = code.k, code.n, code.q, sub.k1
+        if not 1 <= r <= k - k1:
+            raise ValueError(f"rank r={r} outside [1, {k - k1}]")
         total = q ** (r * k1) * gaussian_binomial(k - k1, r, q)
         if total > budget:
             raise BudgetExceededError(total, budget)
         # products: C_1 coefficients times k generator rows, and base plus
         # up to r (k - r) directions, each a residue times a residue
         require_exact_int64(q, max(k, r * (k - r) + 1))
-        self.query = query
-        sub = query.subcode
         pivots = {int(np.argmax(row != 0)) for row in sub.coeff_rows}
         rows = code.generator_rows
         off = rows[[c for c in range(k) if c not in pivots]]
@@ -311,17 +297,6 @@ class CandidateScan:
         self.family_count = family_count
         self.max_vanishing = max_vanishing
         self.min_support = n - max_vanishing
-
-    @property
-    def delta(self) -> int:
-        # max_vanishing is 0 when no subspace is admissible: delta is deg
-        return self.query.code.ideal.degree() - self.max_vanishing
-
-    @property
-    def theta(self) -> int:
-        if not self.family_count:
-            return self.query.code.ideal.degree()
-        return self.min_support
 
 
 # masks or (head, tail) pairs per numpy step: bounds the scan's peak memory.
@@ -396,13 +371,10 @@ def _digits(lo: int, hi: int, width: int, q: int) -> np.ndarray:
     return idx[:, None] // q ** np.arange(width, dtype=np.int64) % q
 
 
-def rgmdf(query: WeightQuery, budget: int = 10**7) -> int:
-    """Degree-drop weight: deg(S/I) minus the largest vanishing-set size over
-    admissible subspaces; deg(S/I) itself when no subspace is admissible."""
-    return CandidateScan(query, budget).delta
-
-
-def vasconcelos(query: WeightQuery, budget: int = 10**7) -> int:
-    """Colon-degree weight: the smallest count of points left alive by an
-    admissible subspace; deg(S/I) when no subspace is admissible."""
-    return CandidateScan(query, budget).theta
+def rgmdf(
+    code: EvaluationCode, r: int, sub: SubcodeSpec | None = None, budget: int = 10**7
+) -> int:
+    """M_r(C, C_1): the smallest support n - |V_X(D)| over the r-dimensional
+    subcodes D of C meeting C_1 only in zero.  n = deg(S/I_X), so this is
+    also the degree-drop and the colon-degree weight of I_X."""
+    return CandidateScan(code, r, sub, budget).min_support

@@ -356,11 +356,14 @@ def rghw_by_support_scan(code, sub, r):
     keep those meeting the subcode only in zero, found by reducing modulo
     the subcode's echelon rows and testing every projective combination.
     Returns (min support, admissible count, feasible count), where the
-    admissible subspaces are the feasible ones with a common zero on X."""
+    admissible subspaces are the feasible ones with a common zero on X.
+    The subcode's evaluation rows come from evaluating its polynomials at X,
+    not from the scan's product of coefficient rows and generator rows."""
     k, n, q = code.k, code.n, code.q
     gen = code.generator_rows
     if sub.k1:
-        sub_rref, sub_pivots = rref(sub.rows, q)
+        polys = [code.coefficients_to_polynomial(row) for row in sub.coeff_rows]
+        sub_rref, sub_pivots = rref(evaluation_matrix(code.X, polys), q)
         combos = projective_reps(r, q)
     best = None
     admissible = feasible_count = 0
@@ -383,15 +386,15 @@ def rghw_by_support_scan(code, sub, r):
     return best, admissible, feasible_count
 
 
-def full_space_rgmdf(code, query, budget=10**7):
+def full_space_rgmdf(code, r, sub=None, budget=10**7):
     """rgmdf over subspaces of the entire degree-d coefficient space (not
-    just standard polynomials): confirms that restricting to standard
-    polynomials never changes the maximum."""
+    just standard polynomials), as deg(S/I) minus the largest common zero
+    set: confirms that restricting to standard polynomials never changes
+    the maximum."""
     ring = code.ring
     q = code.q
     monomials = code.order.sorted(ring.monomials_of_degree(code.d), reverse=True)
     N = len(monomials)
-    r = query.r
     total = gaussian_binomial(N, r, q)
     if total > budget:
         raise BudgetExceededError(total, budget)
@@ -400,7 +403,8 @@ def full_space_rgmdf(code, query, budget=10**7):
     nf_rows = np.zeros((N, code.k), dtype=np.int64)
     for i, m in enumerate(monomials):
         nf_rows[i] = code.polynomial_to_coefficients(ring.from_terms({m: 1}))
-    sub = query.subcode
+    if sub is None:
+        sub = validate_subcode(code, [])
     combos = projective_reps(r + sub.k1, q)
     degree = code.ideal.degree()
     best = None

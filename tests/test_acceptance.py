@@ -10,10 +10,11 @@ from oracles import (
     ideal_equal,
     intersection_of_point_ideals,
     random_subcode,
+    rghw_by_support_scan,
     sample_instance,
 )
 
-from rghw.codes import build_code, rghw_bruteforce, singleton_bound, validate_subcode
+from rghw.codes import build_code, singleton_bound, validate_subcode
 from rghw.field import PrimeField
 from rghw.groebner import Ideal
 from rghw.linalg import gaussian_binomial
@@ -25,13 +26,7 @@ from rghw.points import (
     zero_set,
 )
 from rghw.polyring import PolyRing
-from rghw.weights import (
-    FootprintProfile,
-    WeightQuery,
-    rgff,
-    rgmdf,
-    vasconcelos,
-)
+from rghw.weights import FootprintProfile, rgff, rgmdf
 
 
 @contextmanager
@@ -95,11 +90,11 @@ def test_criterion_3_torus_identification():
             sub = validate_subcode(code, [])
             profile = FootprintProfile(code.ideal, d, code.k)
             for r in range(1, code.k + 1):
-                query = WeightQuery(code, r, sub)
                 fp = profile.value(r)
-                delta = rgmdf(query)
-                brute = rghw_bruteforce(code, sub, r)
-                assert fp == delta == brute, (d, r, fp, delta, brute)
+                weight = rgmdf(code, r, sub)
+                assert fp == weight, (d, r, fp, weight)
+                if d == 1:
+                    assert rghw_by_support_scan(code, sub, r)[0] == weight
 
 
 def test_criterion_4_subcode_example():
@@ -108,12 +103,11 @@ def test_criterion_4_subcode_example():
         sub = validate_subcode(code, [code.ring.parse("t1")])
         got = {}
         for r in (1, 2, 3):
-            query = WeightQuery(code, r, sub)
             got[r] = (
-                rgff(query),
-                rgmdf(query),
-                vasconcelos(query),
-                rghw_bruteforce(code, sub, r),
+                rgff(code.ideal, 1, r),
+                rgmdf(code, r, sub),
+                rghw_by_support_scan(code, sub, r)[0],
+                full_space_rgmdf(code, r, sub),
                 singleton_bound(code, sub, r),
             )
         assert got[1] == (4, 4, 4, 4, 5)
@@ -136,17 +130,15 @@ def test_criterion_5_property_suites():
             for k1 in range(code.k):
                 sub = random_subcode(rng, code, k1)
                 for r in range(1, code.k - k1 + 1):
-                    query = WeightQuery(code, r, sub)
-                    brute = rghw_bruteforce(code, sub, r)
-                    delta = rgmdf(query)
-                    theta = vasconcelos(query)
-                    assert delta == theta == brute, (code, k1, r, delta, theta, brute)
-                    assert rgff(query) <= delta
+                    weight = rgmdf(code, r, sub)
+                    support = rghw_by_support_scan(code, sub, r)[0]
+                    assert weight == support, (code, k1, r, weight, support)
+                    assert rgff(code.ideal, code.d, r) <= weight
                     if (
                         small_enough_for_oracle
                         and gaussian_binomial(full_space_dim, r, code.q) <= 300_000
                     ):
-                        assert full_space_rgmdf(code, query) == delta
+                        assert full_space_rgmdf(code, r, sub) == weight
                         oracle_checks += 1
         assert oracle_checks >= 10
 

@@ -414,3 +414,75 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0
     assert done.stdout.startswith("usage: rghw")
+
+
+SCAN_MATRIX_CASES = {
+    # torus of P^3/F_3 up to d = 3: the three middle ranks of d = 3 pass the
+    # default budget of 10^7 subspaces
+    "torus": (
+        "q = 3\ns = 4\nsource = torus\nfunction = {f}\ndmax = 3\n", [],
+        3,
+        "d,r1,r2,r3,r4,r5,r6,r7,r8\n"
+        "1,4,6,7,8,-,-,-,-\n"
+        "2,2,3,4,5,6,7,8,-\n"
+        "3,1,2,!,!,!,6,7,8\n",
+        "line 4, d=3, r=3: enumeration needs 25095280 candidates, budget is 10000000\n"
+        "line 4, d=3, r=4: enumeration needs 75913222 candidates, budget is 10000000\n"
+        "line 4, d=3, r=5: enumeration needs 25095280 candidates, budget is 10000000\n",
+    ),
+    "subcode": (
+        "q = 3\ns = 4\nsource = torus\nfunction = {f}\ndmax = 1\nk1 = 1\nG = t1\n", [],
+        0, "d,r1,r2,r3\n1,4,6,7\n", "",
+    ),
+    # r = 1 visits 3 [2, 1]_3 = 12 subspaces, r = 2 visits 3^2 [2, 2]_3 = 9
+    "budget": (
+        "q = 3\ns = 3\nsource = torus\nfunction = {f}\ndmax = 1\nk1 = 1\nG = t1\n",
+        ["--budget", "10"],
+        3, "d,r1,r2\n1,!,3\n",
+        "line 4, d=1, r=1: enumeration needs 12 candidates, budget is 10\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_MATRIX_CASES))
+@pytest.mark.parametrize("function", ["delta", "vasconcelos", "bruteforce"])
+def test_matrix_scan_functions_golden(capsys, tmp_path, function, case):
+    # on vanishing ideals the three scan functions print the same grid
+    text, extra, status, out, err = SCAN_MATRIX_CASES[case]
+    (tmp_path / "m.cfg").write_text(text.format(f=function))
+    argv = ["matrix", "--config", str(tmp_path / "m.cfg"), "--format", "csv"] + extra
+    assert run(capsys, argv) == (status, out, err)
+
+
+def test_matrix_certification_gates_delta_and_vasconcelos_only(capsys, tmp_path):
+    # (t1^2, t2^2) cuts out [0:0:1] but is not its vanishing ideal (t1, t2)
+    cfg = tmp_path / "m.cfg"
+    base = "q = 5\ns = 3\nsource = ideal\ngenerators = t1^2 ; t2^2\nfunction = {f}\n"
+    for function in ("delta", "vasconcelos"):
+        cfg.write_text(base.format(f=function))
+        assert run(capsys, ["matrix", "--config", str(cfg)]) == (
+            2, "",
+            "config error: ideal is not the vanishing ideal of its zero set; "
+            "I_X <= I: FAIL at t2\n",
+        )
+    cfg.write_text(base.format(f="bruteforce"))
+    assert run(capsys, ["matrix", "--config", str(cfg)]) == (
+        0, "d  r1\n1   1\n2   1\n", "")
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("t9^^", "bad polynomial 't9^^'"),
+    ("t1^2", "subcode generator t1^2 is not homogeneous of degree 1"),
+])
+def test_fp_matrix_refuses_a_bad_subcode_entry(capsys, tmp_path, entry, message):
+    # fp has no code, but each G entry must still parse and have degree d
+    cfg = tmp_path / "m.cfg"
+    base = "q = 3\ns = 4\nsource = torus\nfunction = {f}\ndmax = 1\nk1 = 1\nG = {g}\n"
+    for function in ("fp", "delta"):
+        cfg.write_text(base.format(f=function, g=entry))
+        code, out, err = run(capsys, ["matrix", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: {message}")
+    cfg.write_text(base.format(f="fp", g="t1"))
+    assert run(capsys, ["matrix", "--config", str(cfg), "--format", "csv"]) == (
+        0, "d,r1,r2,r3\n1,4,6,7\n", "")

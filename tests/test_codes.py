@@ -1,5 +1,6 @@
-"""Evaluation codes on point sets, subcode handling, and the exhaustive
-weight search used as the reference for the faster algebraic routes."""
+"""Evaluation codes on point sets, subcode handling, and the weight
+hierarchies M_r read from the subspace scan (`rgmdf`), against known
+hierarchies, single-codeword scans and the Singleton bound."""
 
 import random
 
@@ -12,7 +13,6 @@ from rghw.codes import (
     BudgetExceededError,
     DependentSubcodeError,
     build_code,
-    rghw_bruteforce,
     singleton_bound,
     validate_subcode,
 )
@@ -26,6 +26,7 @@ from rghw.points import (
     zero_set,
 )
 from rghw.polyring import PolyRing
+from rghw.weights import rgmdf
 
 
 def random_point_set(rng, q, s, n):
@@ -72,16 +73,18 @@ def test_subcode_of_linear_form():
     code = build_code(projective_torus(3, 4), 1)
     sub = validate_subcode(code, [code.ring.parse("t1")])
     assert sub.k1 == 1
-    assert sub.rows.shape == (1, 8)
-    assert (sub.rows == 1).all()
-    assert sub.normalized[0].leading_monomial(code.order).exponents == (1, 0, 0, 0)
+    assert sub.coeff_rows.shape == (1, 4)
+    [row] = sub.coeff_rows
+    poly = code.coefficients_to_polynomial(row)
+    assert poly.leading_monomial(code.order).exponents == (1, 0, 0, 0)
+    assert (evaluation_matrix(code.X, [poly]) == 1).all()
 
 
 def test_empty_subcode():
     code = build_code(projective_torus(3, 4), 1)
     sub = validate_subcode(code, [])
     assert sub.k1 == 0
-    assert sub.rows.shape[0] == 0
+    assert sub.coeff_rows.shape == (0, code.k)
 
 
 def test_dependent_subcode_rejected_with_witness():
@@ -107,13 +110,13 @@ def test_subcode_degree_mismatch_rejected():
 def test_known_weight_hierarchies():
     code3 = build_code(projective_torus(3, 4), 1)
     sub = validate_subcode(code3, [code3.ring.parse("t1")])
-    assert [rghw_bruteforce(code3, sub, r) for r in (1, 2, 3)] == [4, 6, 7]
+    assert [rgmdf(code3, r, sub) for r in (1, 2, 3)] == [4, 6, 7]
     empty = validate_subcode(code3, [])
-    assert [rghw_bruteforce(code3, empty, r) for r in (1, 2, 3, 4)] == [4, 6, 7, 8]
+    assert [rgmdf(code3, r, empty) for r in (1, 2, 3, 4)] == [4, 6, 7, 8]
 
     code2 = build_code(projective_torus(5, 3), 1)
     empty2 = validate_subcode(code2, [])
-    assert [rghw_bruteforce(code2, empty2, r) for r in (1, 2, 3)] == [12, 15, 16]
+    assert [rgmdf(code2, r, empty2) for r in (1, 2, 3)] == [12, 15, 16]
 
 
 def test_first_weight_matches_codeword_scan(seed=36097):
@@ -124,7 +127,7 @@ def test_first_weight_matches_codeword_scan(seed=36097):
         d = rng.choice([1, 2])
         code = build_code(X, d)
         sub = validate_subcode(code, [])
-        assert rghw_bruteforce(code, sub, 1) == minimum_distance_scan(code)
+        assert rgmdf(code, 1, sub) == minimum_distance_scan(code)
 
 
 def test_singleton_bound_values_and_bounding(seed=90135):
@@ -138,7 +141,7 @@ def test_singleton_bound_values_and_bounding(seed=90135):
         code = build_code(X, 1)
         sub = validate_subcode(code, [])
         for r in range(1, code.k + 1):
-            assert rghw_bruteforce(code, sub, r) <= singleton_bound(code, sub, r)
+            assert rgmdf(code, r, sub) <= singleton_bound(code, sub, r)
 
 
 def test_weight_hierarchy_strictly_increases(seed=61507):
@@ -148,7 +151,7 @@ def test_weight_hierarchy_strictly_increases(seed=61507):
         X = random_point_set(rng, q, 3, rng.randrange(3, 8))
         code = build_code(X, 1)
         sub = validate_subcode(code, [])
-        values = [rghw_bruteforce(code, sub, r) for r in range(1, code.k + 1)]
+        values = [rgmdf(code, r, sub) for r in range(1, code.k + 1)]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert values[-1] == code.n
 
@@ -157,9 +160,9 @@ def test_out_of_range_rank_rejected():
     code = build_code(projective_torus(3, 4), 1)
     sub = validate_subcode(code, [code.ring.parse("t1")])
     with pytest.raises(ValueError):
-        rghw_bruteforce(code, sub, 0)
+        rgmdf(code, 0, sub)
     with pytest.raises(ValueError):
-        rghw_bruteforce(code, sub, 4)  # k - k1 = 3
+        rgmdf(code, 4, sub)  # k - k1 = 3
     with pytest.raises(ValueError):
         singleton_bound(code, sub, 4)
 
@@ -168,7 +171,7 @@ def test_budget_guard():
     code = build_code(projective_torus(5, 3), 1)
     sub = validate_subcode(code, [])
     with pytest.raises(BudgetExceededError) as err:
-        rghw_bruteforce(code, sub, 1, budget=10)
+        rgmdf(code, 1, sub, budget=10)
     assert err.value.needed == gaussian_binomial(3, 1, 5)
     assert err.value.budget == 10
 

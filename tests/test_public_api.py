@@ -9,7 +9,7 @@ from pathlib import Path
 import rghw
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-QUICK_START_OUTPUT = ["1 4 4 4 4 5", "2 6 6 6 6 6", "3 7 7 7 7 7"]
+QUICK_START_OUTPUT = ["1 4 4 5", "2 6 6 6", "3 7 7 7"]
 
 
 def quick_start_block():

@@ -1,8 +1,8 @@
-"""Weight functions on degree slices: footprint lower bound, degree-drop and
-colon-degree enumerations, and the full-space oracle.
+"""Weight functions on degree slices: the footprint lower bound, the subspace
+scan behind M_r, and the full-space oracle.
 
-The enumeration routes use evaluation counts; several tests here recompute
-the same quantities through Groebner degrees of (I, F) and (I : F) to pin the
+The scan uses evaluation counts; several tests here recompute the same
+quantities through Groebner degrees of (I, F) and (I : F) to pin the
 algebraic meaning down independently."""
 
 import random
@@ -23,7 +23,7 @@ from oracles import (
     witness_mask,
 )
 
-from rghw.codes import BudgetExceededError, build_code, rghw_bruteforce, validate_subcode
+from rghw.codes import BudgetExceededError, build_code, validate_subcode
 from rghw.field import PrimeField
 from rghw.groebner import Ideal
 from rghw.linalg import gaussian_binomial
@@ -36,14 +36,7 @@ from rghw.points import (
 )
 from rghw.polyring import ORDERS, Monomial, PolyRing
 from rghw import weights
-from rghw.weights import (
-    CandidateScan,
-    FootprintProfile,
-    WeightQuery,
-    rgff,
-    rgmdf,
-    vasconcelos,
-)
+from rghw.weights import CandidateScan, FootprintProfile, rgff, rgmdf
 from itertools import combinations
 from math import comb
 
@@ -53,10 +46,10 @@ def random_point_set(rng, q, s, n):
     return ProjectivePointSet(PrimeField(q), rng.sample(pool, n))
 
 
-def torus3_query(r):
+def torus3_code():
+    """The degree-1 code of the torus of P^3/F_3 and its subcode <t1>."""
     code = build_code(projective_torus(3, 4), 1)
-    sub = validate_subcode(code, [code.ring.parse("t1")])
-    return code, WeightQuery(code, r, sub)
+    return code, validate_subcode(code, [code.ring.parse("t1")])
 
 
 def test_footprint_matrix_anchors():
@@ -80,16 +73,14 @@ def test_footprint_triple_with_subcode_pool():
 
 
 def test_rgff_entry_points_agree():
-    code = build_code(projective_torus(3, 4), 1)
-    sub = validate_subcode(code, [code.ring.parse("t1")])
-    query = WeightQuery(code, 2, sub)
-    assert rgff(query) == rgff(code.ideal, 1, 2) == 6
+    ideal = projective_torus(3, 4).vanishing_ideal()
+    assert rgff(ideal, 1, 2) == FootprintProfile(ideal, 1, 3).value(2) == 6
 
 
 def test_rgff_requires_rank_arguments():
     ideal = projective_torus(3, 4).vanishing_ideal()
     with pytest.raises(ValueError):
-        rgff(ideal, 1, None)
+        rgff(ideal, 1, 0)
     with pytest.raises(ValueError):
         FootprintProfile(ideal, 1, 2).value(0)
 
@@ -287,15 +278,15 @@ def test_profile_budget_counts_nodes_and_subsets_separately():
 
 
 def test_weight_triple_on_torus_subcode():
-    code, _ = torus3_query(1)
-    sub = validate_subcode(code, [code.ring.parse("t1")])
+    # footprint bound, scan and evaluation-space oracle
+    code, sub = torus3_code()
     values = {}
     for r in (1, 2, 3):
-        query = WeightQuery(code, r, sub)
-        values[r] = (rgff(query), rgmdf(query), vasconcelos(query), rghw_bruteforce(code, sub, r))
-    assert values[1] == (4, 4, 4, 4)
-    assert values[2] == (6, 6, 6, 6)
-    assert values[3] == (7, 7, 7, 7)
+        values[r] = (rgff(code.ideal, 1, r), rgmdf(code, r, sub),
+                     rghw_by_support_scan(code, sub, r)[0])
+    assert values[1] == (4, 4, 4)
+    assert values[2] == (6, 6, 6)
+    assert values[3] == (7, 7, 7)
 
 
 # (s, points, d) per field: codes of dimension 9, 6 and 5, so that every
@@ -317,16 +308,17 @@ def test_lifted_scan_matches_support_oracle(q, k1):
     ranks = [r for r in range(1, k - k1 + 1) if gaussian_binomial(k, r, q) <= 2 * 10**5]
     assert ranks
     for r in ranks:
-        scan = CandidateScan(WeightQuery(code, r, sub))
+        scan = CandidateScan(code, r, sub)
         assert (scan.min_support, scan.family_count, scan.feasible_count) == \
             rghw_by_support_scan(code, sub, r), (r, k)
         assert scan.feasible_count == q ** (r * k1) * gaussian_binomial(k - k1, r, q)
 
 
 def test_scan_on_large_fields_matches_support_oracle():
-    # over F_1021 six residues fit one int64 word, so r = k = 7 takes two;
-    # over F_65537 no tail of q^t <= 2^14 pairs exists, so every pair of
-    # the line's q + 1 subspaces is a head
+    # over F_1021 residues compare as uint16, and at r = k = 7 the one
+    # subspace is the AND of seven single-codeword row families; over
+    # F_65537 no tail of q^t <= 2^14 codewords exists, so all q codewords
+    # of row 0's family are heads, streamed in steps
     rng = random.Random(1021)
     points = {(1, rng.randrange(1021), rng.randrange(1021)) for _ in range(7)}
     code = build_code(ProjectivePointSet(PrimeField(1021), sorted(points)), 3)
@@ -334,7 +326,7 @@ def test_scan_on_large_fields_matches_support_oracle():
     line = build_code(ProjectivePointSet(PrimeField(65537), [(1, 0), (1, 5), (0, 1)]), 1)
     for code, r in ((code, 7), (line, 1)):
         sub = validate_subcode(code, [])
-        scan = CandidateScan(WeightQuery(code, r, sub))
+        scan = CandidateScan(code, r, sub)
         assert (scan.min_support, scan.family_count, scan.feasible_count) == \
             rghw_by_support_scan(code, sub, r)
     assert scan.feasible_count == 65538 and scan.min_support == 2
@@ -348,7 +340,7 @@ def test_scan_masks_span_several_words():
     for k1 in (0, 1):
         sub = random_subcode(rng, code, k1)
         for r in (1, 2):
-            scan = CandidateScan(WeightQuery(code, r, sub))
+            scan = CandidateScan(code, r, sub)
             assert (scan.min_support, scan.family_count, scan.feasible_count) == \
                 rghw_by_support_scan(code, sub, r), (k1, r)
 
@@ -361,7 +353,7 @@ def test_scan_streams_a_row_family_past_one_batch():
     assert code.k == 10 and 3 ** 9 > weights._SCAN_BATCH
     for k1 in (0, 1):
         sub = random_subcode(rng, code, k1)
-        scan = CandidateScan(WeightQuery(code, 1, sub))
+        scan = CandidateScan(code, 1, sub)
         assert (scan.min_support, scan.family_count, scan.feasible_count) == \
             rghw_by_support_scan(code, sub, 1), k1
 
@@ -377,32 +369,30 @@ def test_scan_chunks_the_product_of_later_rows(monkeypatch, batch):
     sub = random_subcode(rng, code, 1)
     expected = rghw_by_support_scan(code, sub, 3)
     monkeypatch.setattr(weights, "_SCAN_BATCH", batch)
-    scan = CandidateScan(WeightQuery(code, 3, sub))
+    scan = CandidateScan(code, 3, sub)
     assert (scan.min_support, scan.family_count, scan.feasible_count) == expected
 
 
 def test_scan_budget_weighs_the_visited_count():
     # with a subcode the scan visits q^(r k1) [k - k1, r]_q subspaces, fewer
     # than the [k, r]_q of the whole code, and the gate weighs that count
-    code, _ = torus3_query(1)
-    sub = validate_subcode(code, [code.ring.parse("t1")])
+    code, sub = torus3_code()
     for r in (1, 2, 3):
         visited = 3 ** r * gaussian_binomial(code.k - 1, r, 3)
         assert visited < gaussian_binomial(code.k, r, 3)
         with pytest.raises(BudgetExceededError) as err:
-            CandidateScan(WeightQuery(code, r, sub), budget=visited - 1)
+            CandidateScan(code, r, sub, budget=visited - 1)
         assert err.value.needed == visited
-        assert CandidateScan(WeightQuery(code, r, sub), budget=visited).feasible_count == visited
+        assert CandidateScan(code, r, sub, budget=visited).feasible_count == visited
 
 
 def test_empty_family_falls_back_to_degree():
     # no admissible subspace of rank 3 on this torus: every rank-3 space of
     # linear forms cuts the torus down to nothing
     code = build_code(projective_torus(5, 3), 1)
-    query = WeightQuery(code, 3)
-    scan = CandidateScan(query)
-    assert scan.family_count == 0
-    assert rgmdf(query) == vasconcelos(query) == 16
+    scan = CandidateScan(code, 3)
+    assert scan.family_count == scan.max_vanishing == 0
+    assert rgmdf(code, 3) == code.ideal.degree() == 16
     assert FootprintProfile(code.ideal, 1, 3).value(3) == 16
 
 
@@ -415,11 +405,10 @@ def test_three_routes_agree_randomly(seed=24181):
         code = build_code(X, 1)
         sub = validate_subcode(code, [])
         for r in range(1, code.k + 1):
-            query = WeightQuery(code, r, sub)
-            brute = rghw_bruteforce(code, sub, r)
-            assert rgmdf(query) == brute
-            assert vasconcelos(query) == brute
-            assert rgff(query) <= brute
+            # scan, evaluation-space oracle, footprint lower bound
+            weight = rgmdf(code, r, sub)
+            assert weight == rghw_by_support_scan(code, sub, r)[0]
+            assert rgff(code.ideal, 1, r) <= weight
 
 
 def test_enumeration_matches_groebner_degrees(seed=39209):
@@ -434,7 +423,6 @@ def test_enumeration_matches_groebner_degrees(seed=39209):
         if code.k < 2:
             continue
         r = 2
-        query = WeightQuery(code, r)
         drops = []
         leftovers = []
         for batch in iter_subspace_batches(code.k, r, q, max_batch=256):
@@ -451,18 +439,17 @@ def test_enumeration_matches_groebner_degrees(seed=39209):
                 leftovers.append(colon.degree())
         if not drops:
             continue
-        assert rgmdf(query) == min(drops)
-        assert vasconcelos(query) == min(leftovers)
+        # the degree-drop and the colon-degree minimum are both M_r
+        assert rgmdf(code, r) == min(drops) == min(leftovers)
         checked += 1
 
 
 def test_candidate_counts_are_within_bounds():
-    code, _ = torus3_query(1)
-    sub = validate_subcode(code, [code.ring.parse("t1")])
+    code, sub = torus3_code()
     profile = FootprintProfile(code.ideal, 1, 3)
     for r in (1, 2, 3):
         assert profile.candidate_count(r) <= comb(code.k, r)
-        scan = CandidateScan(WeightQuery(code, r, sub))
+        scan = CandidateScan(code, r, sub)
         assert scan.family_count <= gaussian_binomial(code.k, r, code.q)
     assert [profile.candidate_count(r) for r in (1, 2, 3)] == [3, 3, 1]
 
@@ -477,30 +464,27 @@ def test_full_space_oracle_agrees(seed=83265):
         if gaussian_binomial(len(code.ring.monomials_of_degree(1)), 1, q) > 10**5:
             continue
         for r in range(1, min(code.k, 2) + 1):
-            query = WeightQuery(code, r)
-            assert full_space_rgmdf(code, query) == rgmdf(query)
+            assert full_space_rgmdf(code, r) == rgmdf(code, r)
         checked += 1
 
 
 def test_query_validation():
-    code = build_code(projective_torus(3, 4), 1)
-    sub = validate_subcode(code, [code.ring.parse("t1")])
-    with pytest.raises(ValueError):
-        WeightQuery(code, 0, sub)
-    with pytest.raises(ValueError):
-        WeightQuery(code, 4, sub)  # k - k1 = 3
+    code, sub = torus3_code()
+    with pytest.raises(ValueError, match="outside"):
+        CandidateScan(code, 0, sub)
+    with pytest.raises(ValueError, match="outside"):
+        rgmdf(code, 4, sub)  # k - k1 = 3
     other = build_code(projective_torus(3, 4), 2)
-    with pytest.raises(ValueError):
-        WeightQuery(other, 1, sub)
+    with pytest.raises(ValueError, match="different code"):
+        CandidateScan(other, 1, sub)
 
 
 def test_budget_guard():
     code = build_code(projective_torus(5, 3), 1)
-    query = WeightQuery(code, 2)
     with pytest.raises(BudgetExceededError):
-        rgmdf(query, budget=5)
+        rgmdf(code, 2, budget=5)
     with pytest.raises(BudgetExceededError):
-        full_space_rgmdf(code, query, budget=5)
+        full_space_rgmdf(code, 2, budget=5)
 
 
 def test_scan_refuses_moduli_whose_sums_overflow():
@@ -511,4 +495,4 @@ def test_scan_refuses_moduli_whose_sums_overflow():
     code = build_code(ProjectivePointSet(PrimeField(q), points), 1)
     assert code.k == 4
     with pytest.raises(ValueError, match="q <= "):
-        CandidateScan(WeightQuery(code, 2), budget=10**60)
+        CandidateScan(code, 2, budget=10**60)
