@@ -301,27 +301,24 @@ def load_problem(config: ProblemConfig, order, config_dir: Path) -> Problem:
 
 
 def certification_report(problem: Problem) -> tuple[bool, list[str]]:
-    """Mutual membership between the supplied ideal and the vanishing ideal
-    of its zero set; reports the first failing generator per direction."""
-    given = problem.given_ideal
-    point_ideal = problem.point_ideal()
-    lines = []
-    ok = True
-    for g in given.groebner_basis():
-        if not point_ideal.normal_form(g).is_zero():
-            lines.append(f"I <= I_X: FAIL at {g.format(problem.order)}")
-            ok = False
-            break
-    else:
-        lines.append("I <= I_X: ok")
-    for g in point_ideal.groebner_basis():
-        if not given.normal_form(g).is_zero():
-            lines.append(f"I_X <= I: FAIL at {g.format(problem.order)}")
-            ok = False
-            break
-    else:
-        lines.append("I_X <= I: ok")
-    return ok, lines
+    """Whether the supplied ideal I is the vanishing ideal I_X of its zero
+    set X, with one report line per containment.
+
+    X = V(I)(F_q), so every element of I vanishes on X: I <= I_X always
+    holds.  For I_X <= I, walk the reduced basis of I_X in increasing
+    leading monomial: the first element not in I is the first whose leading
+    monomial lies outside in(I).  An element whose leading monomial lies
+    outside in(I) is not in I.  Conversely, let g be the first element not
+    in I and suppose lm(g) is in in(I).  Then some f in I has lm(f) = lm(g)
+    and the same leading coefficient, so g - f lies in I_X with every
+    monomial below lm(g).  Its division by the basis uses only elements
+    with smaller leading monomials, which come before g and so lie in I;
+    hence g - f and g lie in I, a contradiction."""
+    in_initial = problem.given_ideal.initial_ideal().contains
+    for g in problem.point_ideal().groebner_basis():
+        if not in_initial(g.leading_monomial(problem.order)):
+            return False, ["I <= I_X: ok", f"I_X <= I: FAIL at {g.format(problem.order)}"]
+    return True, ["I <= I_X: ok", "I_X <= I: ok"]
 
 
 def require_points(problem: Problem) -> ProjectivePointSet:
@@ -337,49 +334,40 @@ def require_certified(problem: Problem):
     ok, lines = certification_report(problem)
     if not ok:
         raise ConfigError(
-            "ideal is not the vanishing ideal of its zero set; "
-            + "; ".join(line for line in lines if "FAIL" in line)
+            "ideal is not the vanishing ideal of its zero set; " + lines[-1]
         )
 
 
-def render_table(header, rows) -> str:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    out = []
-    for row in [header] + rows:
-        out.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(out) + "\n"
-
-
-def render_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def render(header, rows, fmt: str) -> str:
+    lines = [list(header)] + rows
     if fmt == "csv":
-        return render_csv(list(header), rows)
-    return render_table(list(header), rows)
+        return "".join(",".join(row) + "\n" for row in lines)
+    widths = [max(len(row[i]) for row in lines) for i in range(len(header))]
+    return "".join(
+        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + "\n" for row in lines
+    )
 
 
-def _hilbert_rows(problem: Problem) -> tuple[list[list[str]], Ideal]:
-    ideal = problem.working_ideal()
+def _budgeted_output(header, rows, fmt: str) -> tuple[str, int]:
+    """The rendered rows, with exit status 3 when some cell shows '!'."""
+    return render(header, rows, fmt), 3 if any(BUDGET_MARK in row for row in rows) else 0
+
+
+def _degrees(problem: Problem, ideal: Ideal):
+    """The ideal's Hilbert summary and the default degrees 1..dmax, where
+    dmax defaults to the regularity index (at least 1)."""
     try:
         summary = ideal.quotient_summary()
     except UnsupportedDimensionError as exc:
         raise ConfigError(str(exc)) from None
-    dmax = problem.config.dmax or (summary.reg_index if summary.reg_index else 1)
-    rows = [[str(d), str(ideal.hilbert_function(d))] for d in range(1, dmax + 1)]
-    return rows, ideal
+    return summary, range(1, (problem.config.dmax or summary.reg_index or 1) + 1)
 
 
 def cmd_hilbert(problem: Problem, args) -> tuple[str, int]:
-    rows, ideal = _hilbert_rows(problem)
-    summary = ideal.quotient_summary()
-    body = render(("d", "H"), rows, args.format)
+    ideal = problem.working_ideal()
+    summary, degrees = _degrees(problem, ideal)
+    body = render(("d", "H"), [[str(d), str(ideal.hilbert_function(d))] for d in degrees],
+                  args.format)
     if args.format == "table":
         body += f"deg = {summary.degree}, reg = {summary.reg_index}\n"
     return body, 0
@@ -390,8 +378,7 @@ def cmd_vanishing_ideal(problem: Problem, args) -> tuple[str, int]:
     ideal = problem.point_ideal()
     lines = [g.format(problem.order) for g in ideal.groebner_basis()]
     if problem.given_ideal is not None:
-        _, report = certification_report(problem)
-        lines.extend(report)
+        lines.extend(certification_report(problem)[1])
     summary = ideal.quotient_summary()
     lines.append(f"n = {len(X)}, deg = {summary.degree}, reg = {summary.reg_index}")
     return "\n".join(lines) + "\n", 0
@@ -400,21 +387,12 @@ def cmd_vanishing_ideal(problem: Problem, args) -> tuple[str, int]:
 def cmd_code_info(problem: Problem, args) -> tuple[str, int]:
     X = require_points(problem)
     ideal = problem.point_ideal()
-    summary = ideal.quotient_summary()
+    summary, degrees = _degrees(problem, ideal)
     if problem.config.queries:
-        dvals = sorted(
-            {
-                d
-                for query in problem.config.queries
-                for d in range(query.d_range[0], query.d_range[1] + 1)
-            }
-        )
-    else:
-        dmax = problem.config.dmax or summary.reg_index or 1
-        dvals = list(range(1, dmax + 1))
+        degrees = sorted({d for _, d in _expand_queries(problem)})
     rows = [
         [str(d), str(len(X)), str(ideal.hilbert_function(d)), str(summary.reg_index)]
-        for d in dvals
+        for d in degrees
     ]
     return render(("d", "n", "k", "reg"), rows, args.format), 0
 
@@ -440,16 +418,35 @@ def _expand_queries(problem: Problem):
             yield query, d
 
 
-def _report_budget(lineno, d: int, r: int, exc: BudgetExceededError):
-    """One stderr line per cell marked '!': where, and what the budget was."""
-    print(f"line {lineno}, d={d}, r={r}: {exc}", file=sys.stderr)
+def _attempt(compute, *args):
+    """compute(*args), or the BudgetExceededError it raised."""
+    try:
+        return compute(*args)
+    except BudgetExceededError as exc:
+        return exc
+
+
+def _cells(where: str, result, *reads) -> list[str]:
+    """One cell per read of result; when result is a budget overflow, a '!'
+    per read instead and one stderr line: where, and what the budget was."""
+    if isinstance(result, BudgetExceededError):
+        print(f"{where}: {result}", file=sys.stderr)
+        return [BUDGET_MARK] * len(reads)
+    return [str(read(result)) for read in reads]
+
+
+def _counted_profile(ideal: Ideal, d: int, rmax: int, budget: int) -> FootprintProfile:
+    """A footprint profile with the admissible subsets of every rank counted
+    (for cand_mono), so a budget overflow in either walk marks every rank."""
+    profile = FootprintProfile(ideal, d, rmax, budget)
+    profile.candidate_count(rmax)
+    return profile
 
 
 def cmd_weights(problem: Problem, args) -> tuple[str, int]:
     X = require_points(problem)
     require_certified(problem)
     rows: list[list[str]] = []
-    budget_hit = False
     codes: dict = {}
     profiles: dict = {}
     for query, d in _expand_queries(problem):
@@ -462,40 +459,23 @@ def cmd_weights(problem: Problem, args) -> tuple[str, int]:
             raise ConfigError(
                 f"line {query.lineno}: k1 = {sub.k1} leaves no valid rank at d = {d}"
             )
-        if query.r_range is None:
-            r_lo, r_hi = 1, rmax
-        else:
-            r_lo, r_hi = query.r_range
-            if r_hi > rmax:
-                raise ConfigError(
-                    f"line {query.lineno}: r up to {r_hi} exceeds k - k1 = {rmax} at d = {d}"
-                )
-        key = (d, r_hi)
-        if key not in profiles:
-            try:
-                profile = FootprintProfile(code.ideal, d, r_hi, args.budget)
-                profile.candidate_count(r_hi)  # counts every rank for cand_mono
-                profiles[key] = profile
-            except BudgetExceededError as exc:
-                profiles[key] = exc
-        profile = profiles[key]
+        r_lo, r_hi = query.r_range or (1, rmax)
+        if r_hi > rmax:
+            raise ConfigError(
+                f"line {query.lineno}: r up to {r_hi} exceeds k - k1 = {rmax} at d = {d}"
+            )
+        if (d, r_hi) not in profiles:
+            profiles[d, r_hi] = _attempt(_counted_profile, code.ideal, d, r_hi, args.budget)
         for r in range(r_lo, r_hi + 1):
             started = time.perf_counter()
-            if isinstance(profile, BudgetExceededError):
-                fp_val = cand_mono = BUDGET_MARK
-                _report_budget(query.lineno, d, r, profile)
-                budget_hit = True
-            else:
-                fp_val = str(profile.value(r))
-                cand_mono = str(profile.candidate_count(r))
-            try:
-                scan = CandidateScan(code, r, sub, args.budget)
-            except BudgetExceededError as exc:
-                weight = cand_poly = BUDGET_MARK
-                _report_budget(query.lineno, d, r, exc)
-                budget_hit = True
-            else:
-                weight, cand_poly = str(scan.min_support), str(scan.family_count)
+            where = f"line {query.lineno}, d={d}, r={r}"
+            fp_val, cand_mono = _cells(
+                where, profiles[d, r_hi], lambda p: p.value(r), lambda p: p.candidate_count(r)
+            )
+            weight, cand_poly = _cells(
+                where, _attempt(CandidateScan, code, r, sub, args.budget),
+                lambda scan: scan.min_support, lambda scan: scan.family_count,
+            )
             # delta, vasconcelos and M_r are one number for a vanishing ideal
             mr = weight if args.with_bruteforce else "-"
             ms = str(int((time.perf_counter() - started) * 1000))
@@ -507,7 +487,7 @@ def cmd_weights(problem: Problem, args) -> tuple[str, int]:
                     cand_poly, cand_mono, ms,
                 ]
             )
-    return render(WEIGHTS_HEADER, rows, args.format), 3 if budget_hit else 0
+    return _budgeted_output(WEIGHTS_HEADER, rows, args.format)
 
 
 def cmd_matrix(problem: Problem, args) -> tuple[str, int]:
@@ -515,27 +495,17 @@ def cmd_matrix(problem: Problem, args) -> tuple[str, int]:
     if config.function is None:
         raise ConfigError("matrix mode needs a function key (fp | delta | vasconcelos | bruteforce)")
     function = config.function
-    needs_points = function != "fp"
-    if needs_points:
+    if function != "fp":
         X = require_points(problem)
     if function in ("delta", "vasconcelos"):
         require_certified(problem)
     ideal = problem.working_ideal()
-    try:
-        summary = ideal.quotient_summary()
-    except UnsupportedDimensionError as exc:
-        raise ConfigError(str(exc)) from None
-    dmax = config.dmax or summary.reg_index or 1
-    if config.k1 and dmax != 1:
+    _, degrees = _degrees(problem, ideal)
+    if config.k1 and len(degrees) != 1:
         raise ConfigError("matrix mode with k1 > 0 needs a single degree (set dmax = 1)")
-    budget_hit = False
     per_d: list[tuple[int, int, object, object]] = []
-    for d in range(1, dmax + 1):
-        if needs_points:
-            code = build_code(X, d, problem.order)
-            sub = _subcode_for(code, config.g_strings, config.k1)
-            per_d.append((d, code.k - sub.k1, code, sub))
-        else:
+    for d in degrees:
+        if function == "fp":
             # fp has no code, so G is checked for its degree but not for
             # independence
             for poly in (_parse_generator(problem.ring, g) for g in config.g_strings):
@@ -544,36 +514,30 @@ def cmd_matrix(problem: Problem, args) -> tuple[str, int]:
                         f"subcode generator {poly.format()} is not homogeneous of degree {d}"
                     )
             per_d.append((d, ideal.hilbert_function(d) - config.k1, None, None))
+        else:
+            code = build_code(X, d, problem.order)
+            sub = _subcode_for(code, config.g_strings, config.k1)
+            per_d.append((d, code.k - sub.k1, code, sub))
     rmax = max(entry[1] for entry in per_d)
     if rmax < 1:
         raise ConfigError("k1 leaves no valid rank anywhere in the degree range")
     header = ("d",) + tuple(f"r{r}" for r in range(1, rmax + 1))
     rows = []
     for d, kk, code, sub in per_d:
-        cells = [str(d)]
-        profile = None
         if function == "fp":
-            try:
-                profile = FootprintProfile(ideal, d, kk, args.budget)
-            except BudgetExceededError as exc:
-                profile = exc
+            profile = _attempt(FootprintProfile, ideal, d, kk, args.budget)
+        cells = [str(d)]
         for r in range(1, rmax + 1):
+            where = f"line {config.function_lineno}, d={d}, r={r}"
             if r > kk:
                 cells.append("-")
-                continue
-            try:
-                if isinstance(profile, BudgetExceededError):
-                    raise profile
-                if function == "fp":
-                    cells.append(str(profile.value(r)))
-                else:
-                    cells.append(str(CandidateScan(code, r, sub, args.budget).min_support))
-            except BudgetExceededError as exc:
-                cells.append(BUDGET_MARK)
-                _report_budget(config.function_lineno, d, r, exc)
-                budget_hit = True
+            elif function == "fp":
+                cells += _cells(where, profile, lambda p: p.value(r))
+            else:
+                scan = _attempt(CandidateScan, code, r, sub, args.budget)
+                cells += _cells(where, scan, lambda found: found.min_support)
         rows.append(cells)
-    return render(header, rows, args.format), 3 if budget_hit else 0
+    return _budgeted_output(header, rows, args.format)
 
 
 COMMANDS = {
@@ -597,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="max candidates per enumeration (default 10^7)")
     parser.add_argument("--order", choices=sorted(ORDERS), default="grevlex")
     parser.add_argument("--with-bruteforce", action="store_true",
-                        help="also compute M_r by exhaustive subspace search")
+                        help="print M_r in the Mr column (else '-'); it is the scan "
+                             "value that already fills delta and vasconcelos")
     return parser
 
 

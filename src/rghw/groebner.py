@@ -3,6 +3,8 @@ operations built on it: normal forms, initial ideals, and Hilbert data."""
 
 from __future__ import annotations
 
+import heapq
+
 from .monideal import (
     FootprintRays,
     GradedQuotientSummary,
@@ -49,31 +51,29 @@ def normal_form(f: Polynomial, divisors, order: MonomialOrder = GREVLEX) -> Poly
 def buchberger(gens, order: MonomialOrder = GREVLEX) -> list[Polynomial]:
     """A Groebner basis containing the input generators.
 
-    Pairs are processed smallest lcm first; pairs with coprime leading
-    monomials are skipped since their S-polynomial always reduces to zero.
+    Pairs are processed smallest lcm first, from a heap keyed once per pair
+    when it is made; pairs with coprime leading monomials are skipped since
+    their S-polynomial always reduces to zero.
     """
     basis = [g for g in gens if not g.is_zero()]
-    if not basis:
-        return []
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+    leads = [g.leading_monomial(order) for g in basis]
+    pairs: list = []
+
+    def add_pairs(k: int):
+        for m in range(k):
+            heapq.heappush(pairs, (order.key(leads[k].lcm(leads[m])), k, m))
+
+    for k in range(len(basis)):
+        add_pairs(k)
     while pairs:
-        i, j = min(
-            pairs,
-            key=lambda p: order.key(
-                basis[p[0]]
-                .leading_monomial(order)
-                .lcm(basis[p[1]].leading_monomial(order))
-            ),
-        )
-        pairs.remove((i, j))
-        fi, fj = basis[i], basis[j]
-        if fi.leading_monomial(order).is_coprime_with(fj.leading_monomial(order)):
+        _, i, j = heapq.heappop(pairs)
+        if leads[i].is_coprime_with(leads[j]):
             continue
-        s = normal_form(spolynomial(fi, fj, order), basis, order)
+        s = normal_form(spolynomial(basis[i], basis[j], order), basis, order)
         if not s.is_zero():
             basis.append(s)
-            k = len(basis) - 1
-            pairs.update((k, m) for m in range(k))
+            leads.append(s.leading_monomial(order))
+            add_pairs(len(basis) - 1)
     return basis
 
 

@@ -8,7 +8,9 @@ algebra that the package no longer needs: exact polynomial division,
 homogeneous components, the last-variable elimination order, ideal
 intersections and colon ideals by elimination, ideal equality, monomial
 intersections and colon ideals, and the enumerations of F_q^n, of
-projective representatives and of every r-dimensional subspace of F_q^k."""
+projective representatives and of every r-dimensional subspace of F_q^k.
+It also holds the normal-form certification of a supplied ideal against the
+vanishing ideal of its zero set, in both directions."""
 
 from itertools import combinations
 
@@ -300,6 +302,32 @@ def vanishing_ideal_by_buchberger(X, order):
         if rank_reached is None and matrix_rank(rows, field.q) == len(X):
             rank_reached = d
     return ideal
+
+
+def certification_by_normal_forms(problem):
+    """Mutual membership between a CLI problem's supplied ideal and the
+    vanishing ideal of its zero set, checked by normal forms in both
+    directions; reports the first failing generator per direction, as
+    `(ok, lines)` in the form of `cli.certification_report`."""
+    given = problem.given_ideal
+    point_ideal = problem.point_ideal()
+    lines = []
+    ok = True
+    for g in given.groebner_basis():
+        if not point_ideal.normal_form(g).is_zero():
+            lines.append(f"I <= I_X: FAIL at {g.format(problem.order)}")
+            ok = False
+            break
+    else:
+        lines.append("I <= I_X: ok")
+    for g in point_ideal.groebner_basis():
+        if not given.normal_form(g).is_zero():
+            lines.append(f"I_X <= I: FAIL at {g.format(problem.order)}")
+            ok = False
+            break
+    else:
+        lines.append("I_X <= I: ok")
+    return ok, lines
 
 
 def enumeration_cost(k, q):

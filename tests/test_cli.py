@@ -3,14 +3,18 @@ rerun determinism.  The ms column is wall time and is masked before any
 byte comparison."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from oracles import certification_by_normal_forms
 from rghw import cli
 from rghw.cli import main, parse_config, ConfigError
+from rghw.groebner import Ideal
+from rghw.polyring import ORDERS, PolyRing
 
 
 def run(capsys, argv):
@@ -185,6 +189,30 @@ def test_certification_failure_reports_direction(capsys, tmp_path):
     code, out, err = run(capsys, ["weights", "--config", str(tmp_path / "small.cfg")])
     assert code == 2
     assert "I_X <= I: FAIL" in err
+
+
+def test_certification_matches_normal_form_oracle(seed=4411):
+    # random homogeneous ideals with a nonempty zero set: the initial-ideal
+    # report equals the two normal-form walks, and I <= I_X never fails
+    rng = random.Random(seed)
+    outcomes = {True: 0, False: 0}
+    while min(outcomes.values()) < 150:
+        q, s = rng.choice([2, 3, 5]), rng.choice([2, 3])
+        order = ORDERS[rng.choice(sorted(ORDERS))]
+        ring = PolyRing(q, s)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            monomials = ring.monomials_of_degree(rng.randint(1, 3))
+            picked = rng.sample(monomials, rng.randint(1, min(3, len(monomials))))
+            gens.append(ring.from_terms({m: rng.randrange(1, q) for m in picked}))
+        config = cli.ProblemConfig(q=q, s=s, source="ideal")
+        problem = cli.Problem(config, order, Ideal(ring, gens, order), ring)
+        if problem.X is None:
+            continue
+        report = cli.certification_report(problem)
+        assert report == certification_by_normal_forms(problem), [g.format() for g in gens]
+        assert report[1][0] == "I <= I_X: ok"
+        outcomes[report[0]] += 1
 
 
 def test_uncertified_ideal_still_allowed_for_fp_matrix(capsys, tmp_path):
