@@ -101,6 +101,7 @@ def _split_list(value: str) -> list[str]:
 def parse_config(text: str) -> ProblemConfig:
     config = ProblemConfig()
     current: QuerySpec | None = None
+    seen: dict[str, int] = {}  # key -> line, within the current section
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -110,10 +111,14 @@ def parse_config(text: str) -> ProblemConfig:
                 raise ConfigError(f"line {lineno}: unknown section {line!r}")
             current = QuerySpec(lineno)
             config.queries.append(current)
+            seen = {}
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"line {lineno}: {key} already set on line {seen[key]}")
+        seen[key] = lineno
         if current is None:
             _apply_main_key(config, key, value, lineno)
         else:
@@ -397,15 +402,12 @@ def cmd_code_info(problem: Problem, args) -> tuple[str, int]:
     return render(("d", "n", "k", "reg"), rows, args.format), 0
 
 
-def _subcode_for(code, g_strings, k1):
+def _subcode_for(code, g_strings):
     polys = [_parse_generator(code.ring, g) for g in g_strings]
     try:
-        sub = validate_subcode(code, polys)
+        return validate_subcode(code, polys)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if sub.k1 != k1:
-        raise ConfigError(f"k1 = {k1} but G has rank {sub.k1}")
-    return sub
 
 
 def _expand_queries(problem: Problem):
@@ -453,7 +455,7 @@ def cmd_weights(problem: Problem, args) -> tuple[str, int]:
         if d not in codes:
             codes[d] = build_code(X, d, problem.order)
         code = codes[d]
-        sub = _subcode_for(code, query.g_strings, query.k1)
+        sub = _subcode_for(code, query.g_strings)
         rmax = code.k - sub.k1
         if rmax < 1:
             raise ConfigError(
@@ -516,7 +518,7 @@ def cmd_matrix(problem: Problem, args) -> tuple[str, int]:
             per_d.append((d, ideal.hilbert_function(d) - config.k1, None, None))
         else:
             code = build_code(X, d, problem.order)
-            sub = _subcode_for(code, config.g_strings, config.k1)
+            sub = _subcode_for(code, config.g_strings)
             per_d.append((d, code.k - sub.k1, code, sub))
     rmax = max(entry[1] for entry in per_d)
     if rmax < 1:

@@ -130,8 +130,6 @@ def validate_subcode(code: EvaluationCode, polynomials) -> SubcodeSpec:
     if matrix_rank(A, q) < len(polys):
         witness = kernel_basis(A.T, q)[0]
         raise DependentSubcodeError(witness.tolist())
-    if len(polys) > code.k:
-        raise ValueError(f"more generators than the code dimension {code.k}")
     reduced, _ = rref(A, q)
     return SubcodeSpec(code, polys, reduced)
 

@@ -79,28 +79,23 @@ def buchberger(gens, order: MonomialOrder = GREVLEX) -> list[Polynomial]:
 
 def reduced_basis(basis, order: MonomialOrder = GREVLEX) -> list[Polynomial]:
     """The unique reduced Groebner basis: monic, pairwise tail-reduced,
-    leading monomials forming an antichain, sorted by leading monomial."""
-    basis = [g for g in basis if not g.is_zero()]
-    # keep one generator per minimal leading monomial
-    kept: list[Polynomial] = []
-    for g in sorted(basis, key=lambda g: order.key(g.leading_monomial(order))):
+    leading monomials forming an antichain, sorted by leading monomial.
+
+    `basis` must be a Groebner basis (as `buchberger` returns).  Keeping one
+    element per minimal leading monomial leaves a Groebner basis, and a
+    normal form modulo a Groebner basis is unique, so one pass suffices:
+    each kept element, reduced by the elements with smaller leading
+    monomials (only those divide a monomial of its tail), is the reduced
+    element for its leading monomial."""
+    reduced: list[Polynomial] = []
+    for g in sorted(
+        (g for g in basis if not g.is_zero()),
+        key=lambda g: order.key(g.leading_monomial(order)),
+    ):
         lm = g.leading_monomial(order)
-        if not any(h.leading_monomial(order).divides(lm) for h in kept):
-            kept.append(g)
-    while True:
-        reduced = []
-        changed = False
-        for idx, g in enumerate(kept):
-            others = kept[:idx] + kept[idx + 1 :]
-            r = normal_form(g, others, order).monic(order)
-            if r != g:
-                changed = True
-            if not r.is_zero():
-                reduced.append(r)
-        kept = reduced
-        if not changed:
-            break
-    return sorted(kept, key=lambda g: order.key(g.leading_monomial(order)))
+        if not any(h.leading_monomial(order).divides(lm) for h in reduced):
+            reduced.append(normal_form(g, reduced, order).monic(order))
+    return reduced
 
 
 class Ideal:

@@ -193,6 +193,16 @@ def _bitmasks(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def _dimension_at_most_one(ideal: MonomialIdeal) -> int:
+    """dim S/J, raising UnsupportedDimensionError when it is 2 or more."""
+    dim = ideal.dimension()
+    if dim >= 2:
+        raise UnsupportedDimensionError(
+            f"quotient has dimension {dim}; only dimensions 0 and 1 are supported"
+        )
+    return dim
+
+
 def monomial_quotient_degree(ideal: MonomialIdeal, extra=()) -> GradedQuotientSummary:
     """Hilbert data and degree of S/(J + (extra)) for a monomial ideal J and
     optional extra monomial generators, requiring dim <= 1.  Larger
@@ -216,11 +226,7 @@ def monomial_quotient_degree(ideal: MonomialIdeal, extra=()) -> GradedQuotientSu
         ideal = ideal.add(extra)
     if ideal.is_unit():
         return GradedQuotientSummary((0,), 0, 0, None)
-    dim = ideal.nvars if ideal.is_zero() else ideal.dimension()
-    if dim >= 2:
-        raise UnsupportedDimensionError(
-            f"quotient has dimension {dim}; only dimensions 0 and 1 are supported"
-        )
+    dim = _dimension_at_most_one(ideal)
     gens = _exponent_array(ideal.gens, ideal.nvars)
     powers = ideal.pure_power_exponents()
     if dim == 0:
@@ -263,11 +269,7 @@ class FootprintRays:
     def __init__(self, ideal: MonomialIdeal):
         if ideal.is_unit():
             raise ValueError("the unit ideal has no standard monomials")
-        dim = ideal.nvars if ideal.is_zero() else ideal.dimension()
-        if dim >= 2:
-            raise UnsupportedDimensionError(
-                f"quotient has dimension {dim}; only dimensions 0 and 1 are supported"
-            )
+        _dimension_at_most_one(ideal)
         self.ideal = ideal
         nv = ideal.nvars
         gens = self._gens = _exponent_array(ideal.gens, nv)

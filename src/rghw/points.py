@@ -188,20 +188,23 @@ def format_points(X: ProjectivePointSet) -> str:
 
 def evaluation_matrix(X: ProjectivePointSet, basis) -> np.ndarray:
     """Matrix whose row i evaluates basis[i] at the points of X.  Entries may
-    be monomials or polynomials; all must be homogeneous of one degree."""
+    be monomials or polynomials in X.s variables; all must be homogeneous
+    of one degree."""
     entries = list(basis)
     degree = None
     for b in entries:
         if isinstance(b, Monomial):
-            d = b.degree
+            d, nvars = b.degree, len(b.exponents)
         elif isinstance(b, Polynomial):
             if b.is_zero():
                 raise ValueError("zero polynomial in evaluation basis")
             if not b.is_homogeneous():
                 raise ValueError(f"inhomogeneous entry {b.format()}")
-            d = b.degree()
+            d, nvars = b.degree(), b.ring.nvars
         else:
             raise ValueError(f"expected Monomial or Polynomial, got {type(b).__name__}")
+        if nvars != X.s:
+            raise ValueError(f"entry in {nvars} variables, points have {X.s} coordinates")
         if degree is None:
             degree = d
         elif d != degree:
@@ -235,18 +238,20 @@ def vanishing_ideal(X: ProjectivePointSet, order: MonomialOrder = GREVLEX) -> Id
     reduced Groebner basis, by graded linear algebra (the projective
     Buchberger-Moeller method of Marinari, Moeller and Mora).
 
-    In each degree d the evaluation matrix has one column per monomial, in
-    increasing order.  Its RREF has the standard monomials as pivot columns;
-    a free column m is a leading monomial of I_X, and when no earlier
-    leading monomial divides m, the kernel vector m - sum R[i, m] * pivot_i
-    is the monic, tail-reduced basis element with leading monomial m.
+    L is the monomial ideal of the leading monomials found so far.  In each
+    degree d the evaluation matrix has one column per degree-d monomial
+    outside L, in increasing order.  A monomial in L is never a pivot (its
+    column is a combination of smaller standard columns), so leaving it out
+    changes no pivot and no kernel vector.  The RREF has the standard
+    monomials as pivot columns; a free column m is a new leading monomial of
+    I_X, and the kernel vector m - sum R[i, m] * pivot_i is the monic,
+    tail-reduced basis element with leading monomial m.
 
-    Degrees are added until the monomial ideal L of the leading monomials
-    found so far certifies itself: dim S/L <= 1, deg S/L = |X|, and the
-    regularity index of S/L is the first degree where the evaluation rank
-    is |X|.  Since L is inside in(I_X) and agrees with it in every degree
-    scanned, equal Hilbert functions make L = in(I_X).  By Gotzmann
-    persistence in(I_X) has no generator above degree |X|, so the
+    Degrees are added until L certifies itself: dim S/L <= 1, deg S/L =
+    |X|, and the regularity index of S/L is the first degree where the
+    evaluation rank is |X|.  Since L is inside in(I_X) and agrees with it
+    in every degree scanned, equal Hilbert functions make L = in(I_X).  By
+    Gotzmann persistence in(I_X) has no generator above degree |X|, so the
     certificate must hold by then; failing it raises RuntimeError.
     """
     ring = PolyRing(X.field, X.s)
@@ -254,18 +259,18 @@ def vanishing_ideal(X: ProjectivePointSet, order: MonomialOrder = GREVLEX) -> Id
     n = len(X)
     basis: list[Polynomial] = []
     leads: list[Monomial] = []
+    initial = MonomialIdeal(ring.nvars)
     rank_reached = None
     d = -1
     while True:
         d += 1
-        monomials = order.sorted(ring.monomials_of_degree(d))
+        monomials = order.sorted(initial.degree_slice(d))
         R, pivots = rref(evaluation_matrix(X, monomials).T, q)
         if rank_reached is None and len(pivots) == n:
             rank_reached = d
         pivot_set = set(pivots)
-        # leads of degree d cannot divide one another, so one pass suffices
         for col, m in enumerate(monomials):
-            if col in pivot_set or any(lm.divides(m) for lm in leads):
+            if col in pivot_set:
                 continue
             terms = {m: 1}
             for i, pc in enumerate(pivots):
@@ -275,8 +280,8 @@ def vanishing_ideal(X: ProjectivePointSet, order: MonomialOrder = GREVLEX) -> Id
                     terms[monomials[pc]] = q - int(R[i, col])
             basis.append(Polynomial(ring, terms))
             leads.append(m)
+        initial = MonomialIdeal(ring.nvars, leads)
         if rank_reached is not None:
-            initial = MonomialIdeal(ring.nvars, leads)
             # L inside in(I_X) makes dim S/L >= 1
             if initial.dimension() == 1:
                 summary = monomial_quotient_degree(initial)

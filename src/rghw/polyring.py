@@ -21,7 +21,7 @@ class Monomial:
     __slots__ = ("exponents", "degree", "_hash")
 
     def __init__(self, exponents):
-        exps = tuple(int(e) for e in exponents)
+        exps = tuple(map(index, exponents))
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
         self.exponents = exps

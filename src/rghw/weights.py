@@ -205,14 +205,15 @@ def rgff(ideal: Ideal, d: int, r: int) -> int:
 class CandidateScan:
     """One pass over every r-dimensional subspace D of the coefficient space
     with D meeting the subcode C_1 only in zero, recording how many there are
-    (`feasible_count`), how many share a zero on X (`family_count`, the
-    admissible ones), and the largest common zero set (`max_vanishing`).
+    (`feasible_count`, in closed form below), how many share a zero on X
+    (`family_count`, the admissible ones), and the largest common zero set
+    (`max_vanishing`).
 
     With C_1 in reduced echelon form on pivot set P, each such D is the row
     space of E + L C_1 for exactly one reduced echelon basis E supported off
     P and one L in F_q^(r x k1), so the pass enumerates the pairs (E, L) and
     filters nothing: there are q^(r k1) [k - k1, r]_q of them, and that
-    visited count is what the budget gate weighs.
+    visited count is what the budget gate weighs and `feasible_count` holds.
 
     Fix the pivots p_0 < ... < p_(r-1) of E.  Row i of (E + L C_1) G is then
     off[p_i] + sum v_j off[j] + sum L_il C_1[l] G, over the off-pivot
@@ -259,29 +260,24 @@ class CandidateScan:
 
         def family(p, later):
             free = [j for j in range(p + 1, width) if j not in later]
-            dirs = np.concatenate([off[free], sub_evals])
-            return q ** len(dirs), _zero_masks(off[p], dirs, q, words)
+            return _zero_masks(off[p], np.concatenate([off[free], sub_evals]), q, words)
 
-        feasible_count = family_count = max_vanishing = 0
+        family_count = max_vanishing = 0
 
-        def descend(i, later, outer, count):
-            # rows i + 1.. have the pivots `later`, `count` codeword tuples
-            # and, in `outer`, their families' nonzero masks; once one
-            # family has none, no subspace below shares a zero and the
-            # walk only counts
-            nonlocal feasible_count, family_count, max_vanishing
-            live = all(len(masks) for masks in outer)
+        def descend(i, later, outer):
+            # rows i + 1.. have the pivots `later` and, in `outer`, their
+            # families' nonzero masks; a family with none leaves no subspace
+            # below sharing a zero
+            nonlocal family_count, max_vanishing
+            if outer and not len(outer[-1]):
+                return
             for p in range(i, later[0] if later else width):
-                size, steps = family(p, later)
+                steps = family(p, later)
                 if i:
-                    below = outer
-                    if live:
-                        masks = np.concatenate(list(steps))
-                        below = outer + [masks[masks.any(axis=1)]]
-                    descend(i - 1, (p,) + later, below, count * size)
+                    masks = np.concatenate(list(steps))
+                    descend(i - 1, (p,) + later, outer + [masks[masks.any(axis=1)]])
                     continue
-                feasible_count += count * size
-                for chunk in steps if live else ():
+                for chunk in steps:
                     step = max(1, _SCAN_BATCH // len(chunk))
                     for block in _and_blocks(outer, words):
                         for lo in range(0, len(block), step):
@@ -290,10 +286,8 @@ class CandidateScan:
                             family_count += int(np.count_nonzero(vanishing))
                             max_vanishing = max(max_vanishing, int(vanishing.max()))
 
-        descend(r - 1, (), [], 1)
-        if feasible_count == 0:
-            raise RuntimeError(f"no feasible subspace despite r = {r} <= k - k1")
-        self.feasible_count = feasible_count
+        descend(r - 1, (), [])
+        self.feasible_count = total
         self.family_count = family_count
         self.max_vanishing = max_vanishing
         self.min_support = n - max_vanishing

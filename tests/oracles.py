@@ -4,11 +4,12 @@ masks built one cell at a time and with Hilbert-sum lengths, where the
 package builds its masks by array passes.
 
 Besides the reference scans below, this module holds the general ideal
-algebra that the package no longer needs: exact polynomial division,
-homogeneous components, the last-variable elimination order, ideal
-intersections and colon ideals by elimination, ideal equality, monomial
-intersections and colon ideals, and the enumerations of F_q^n, of
-projective representatives and of every r-dimensional subspace of F_q^k.
+algebra that the package no longer needs: interreduction to a fixed point,
+exact polynomial division, homogeneous components, the last-variable
+elimination order, ideal intersections and colon ideals by elimination,
+ideal equality, monomial intersections and colon ideals, and the
+enumerations of F_q^n, of projective representatives and of every
+r-dimensional subspace of F_q^k.
 It also holds the normal-form certification of a supplied ideal against the
 vanishing ideal of its zero set, in both directions."""
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from rghw.codes import BudgetExceededError, build_code, validate_subcode
 from rghw.field import PrimeField
-from rghw.groebner import Ideal, buchberger, reduced_basis
+from rghw.groebner import Ideal, buchberger, normal_form, reduced_basis
 from rghw.linalg import gaussian_binomial, kernel_basis, matrix_rank, rref
 from rghw.monideal import FootprintRays, MonomialIdeal, monomial_quotient_degree
 from rghw.points import ProjectivePointSet, all_projective_points, evaluation_matrix
@@ -72,6 +73,33 @@ def is_graded(ideal: Ideal) -> bool:
     """True when every given generator is homogeneous (which makes the
     ideal graded; the converse is not tested)."""
     return all(g.is_homogeneous() for g in ideal.gens)
+
+
+def reduced_basis_by_fixed_point(basis, order: MonomialOrder = GREVLEX) -> list[Polynomial]:
+    """The reduced Groebner basis by interreduction repeated to a fixed
+    point: keep one element per minimal leading monomial, then reduce each
+    kept element by all the others, pass after pass, until a pass changes
+    nothing."""
+    basis = [g for g in basis if not g.is_zero()]
+    kept: list[Polynomial] = []
+    for g in sorted(basis, key=lambda g: order.key(g.leading_monomial(order))):
+        lm = g.leading_monomial(order)
+        if not any(h.leading_monomial(order).divides(lm) for h in kept):
+            kept.append(g)
+    while True:
+        reduced = []
+        changed = False
+        for idx, g in enumerate(kept):
+            others = kept[:idx] + kept[idx + 1 :]
+            r = normal_form(g, others, order).monic(order)
+            if r != g:
+                changed = True
+            if not r.is_zero():
+                reduced.append(r)
+        kept = reduced
+        if not changed:
+            break
+    return sorted(kept, key=lambda g: order.key(g.leading_monomial(order)))
 
 
 def _eliminate_last(gens, ring: PolyRing) -> list[Polynomial]:

@@ -366,6 +366,25 @@ def test_k1_g_mismatch_is_config_error():
         parse_config("q = 3\ns = 4\nsource = torus\n\n[query]\nd = 1\nk1 = 2\nG = t1\n")
 
 
+def test_repeated_main_key_is_config_error(capsys, tmp_path):
+    # a second q must not silently replace the first
+    (tmp_path / "t.cfg").write_text("q = 3\nsource = torus\ns = 3\nq = 5\n")
+    code, out, err = run(capsys, ["hilbert", "--config", str(tmp_path / "t.cfg")])
+    assert code == 2 and out == ""
+    assert err == "config error: line 4: q already set on line 1\n"
+
+
+def test_repeated_query_key_is_config_error(capsys, tmp_path):
+    # a key may recur across [query] blocks and the main section, never
+    # within one block
+    legal = "q = 3\ns = 4\nsource = torus\nk1 = 0\n\n[query]\nd = 1\nk1 = 0\n\n[query]\nd = 1\n"
+    assert [q.d_range for q in parse_config(legal).queries] == [(1, 1), (1, 1)]
+    (tmp_path / "t.cfg").write_text(legal + "d = 2\n")
+    code, out, err = run(capsys, ["weights", "--config", str(tmp_path / "t.cfg")])
+    assert code == 2 and out == ""
+    assert err == "config error: line 12: d already set on line 11\n"
+
+
 def test_parse_config_sections_and_comments():
     config = parse_config(
         "# header\nq = 3  # inline\nsource = torus\ns = 4\n\n"

@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from oracles import exact_divide, ideal_equal, ideal_intersection, ideal_quotient, is_graded
+from oracles import (
+    exact_divide,
+    ideal_equal,
+    ideal_intersection,
+    ideal_quotient,
+    is_graded,
+    reduced_basis_by_fixed_point,
+)
 
 from rghw.field import PrimeField
 from rghw.groebner import Ideal, buchberger, normal_form, reduced_basis, spolynomial
@@ -128,6 +135,37 @@ def test_reduced_basis_is_canonical(seed=31151):
         extra = gens[0].scaled_shift(Monomial((1, 0, 0)), 2) + gens[-1]
         gb2 = Ideal(ring, shuffled + [extra]).groebner_basis()
         assert [p.terms for p in gb1] == [p.terms for p in gb2]
+
+
+def _needs_tail_reduction(basis, order):
+    """Whether some element with a minimal leading monomial has a tail
+    monomial that another such element's leading monomial divides."""
+    leads = {g.leading_monomial(order) for g in basis}
+    minimal = [m for m in leads if not any(o != m and o.divides(m) for o in leads)]
+    return any(
+        lm.divides(m)
+        for g in basis
+        if g.leading_monomial(order) in minimal
+        for m in g.terms
+        if m != g.leading_monomial(order)
+        for lm in minimal
+    )
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, GRLEX], ids=lambda o: o.name)
+def test_one_pass_reduction_matches_fixed_point_oracle(order, seed=52807):
+    # buchberger output is a Groebner basis but seldom interreduced: one
+    # pass must give what repeated passes give
+    rng = random.Random(seed)
+    unreduced = 0
+    for _ in range(120):
+        ring = ring_over(rng.choice((2, 3, 5, 7)), rng.choice((2, 3, 4)))
+        gens = [random_homog(rng, ring, rng.randint(1, 3)) for _ in range(rng.randint(2, 3))]
+        gb = buchberger(gens, order)
+        unreduced += _needs_tail_reduction(gb, order)
+        expected = reduced_basis_by_fixed_point(gb, order)
+        assert [p.terms for p in reduced_basis(gb, order)] == [p.terms for p in expected]
+    assert unreduced >= 30
 
 
 def test_binomial_torus_ideal_basis():

@@ -20,7 +20,7 @@ from rghw.points import (
     projective_torus,
     zero_set,
 )
-from rghw.polyring import GREVLEX, GRLEX, LEX, PolyRing
+from rghw.polyring import GREVLEX, GRLEX, LEX, Monomial, PolyRing
 
 from oracles import ideal_equal, vanishing_ideal_by_buchberger
 
@@ -237,6 +237,19 @@ def test_evaluation_matrix_rejects_bad_bases():
         evaluation_matrix(X, [ring.parse("t1"), ring.parse("t2^2")])
     with pytest.raises(ValueError):
         evaluation_matrix(X, [ring.parse("0")])
+
+
+def test_evaluation_matrix_rejects_a_variable_count_off_the_points():
+    # the torus in P^1 has 2 coordinates: a third exponent must not be
+    # dropped, and a missing one must not surface as an IndexError
+    X = projective_torus(5, 2)
+    for entry in (Monomial((1, 1, 1)), PolyRing(PrimeField(5), 3).parse("t1 - t3"),
+                  Monomial((2,)), PolyRing(PrimeField(5), 1).parse("t1")):
+        with pytest.raises(ValueError, match="2 coordinates"):
+            evaluation_matrix(X, [entry])
+    with pytest.raises(ValueError, match="2 coordinates"):
+        zero_set(X, [PolyRing(PrimeField(5), 3).parse("t1 - t3")])
+    assert evaluation_matrix(X, [Monomial((1, 1))]).shape == (1, len(X))
 
 
 def test_zero_set_examples():

@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from oracles import EliminateLastOrder, homogeneous_components
 
 from rghw.field import PrimeField
+from rghw.monideal import MonomialIdeal
 from rghw.polyring import (
     GREVLEX,
     GRLEX,
@@ -44,6 +46,14 @@ class TestMonomial:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             M(1, -1)
+
+    def test_exponents_must_be_integers(self):
+        # 1.5 must not be truncated to 1; numpy ints are still taken
+        with pytest.raises(TypeError):
+            M(1.5, 2)
+        with pytest.raises(TypeError):
+            MonomialIdeal(2, [(1.5, 0)])
+        assert Monomial(np.array([2, 1])) == M(2, 1)
 
     def test_repr(self):
         assert repr(M(0, 0)) == "1"
