@@ -1,5 +1,5 @@
 """Golden command line outputs: each command on each sample config in
-configs/, as csv, against the stdout (with the ms column masked), stderr and
+configs/, as csv, under each monomial order, against the stdout (with the ms column masked), stderr and
 exit status recorded in golden_cli.json next to this file.  A change meant
 to alter that output records the file again with
 
@@ -26,14 +26,18 @@ COMMANDS = (
     ["weights", "--with-bruteforce"],
     ["matrix"],
 )
+ORDER_FLAGS = ([], ["--order", "lex"], ["--order", "grlex"])
 
 
 def runs():
-    """(key, argv) per run: every config in configs/ under every command."""
+    """(key, argv) per run: every config in configs/ under every command and
+    order; the default order adds no flag and nothing to the key."""
     for config in sorted((ROOT / "configs").glob("*.cfg")):
         for command in COMMANDS:
-            argv = [command[0], "--config", str(config), "--format", "csv"] + command[1:]
-            yield f"{config.relative_to(ROOT)} {' '.join(command)}", argv
+            for flags in ORDER_FLAGS:
+                argv = [command[0], "--config", str(config), "--format", "csv"]
+                argv += command[1:] + flags
+                yield f"{config.relative_to(ROOT)} {' '.join(command + flags)}", argv
 
 
 def outcome(argv):
