@@ -40,7 +40,6 @@ from .polyring import (
     GRLEX,
     LEX,
     ORDERS,
-    Monomial,
     MonomialOrder,
     PolyParseError,
     PolyRing,
@@ -67,7 +66,6 @@ __all__ = [
     "GRLEX",
     "Ideal",
     "LEX",
-    "Monomial",
     "MonomialIdeal",
     "MonomialOrder",
     "ORDERS",

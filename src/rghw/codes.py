@@ -3,11 +3,28 @@ standard monomials, subcode validation, and the Singleton bound."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .linalg import kernel_basis, matrix_rank, require_exact_int64, rref
 from .points import ProjectivePointSet, evaluation_matrix
 from .polyring import GREVLEX, MonomialOrder, Polynomial
+
+
+# str() refuses ints of more than 4300 digits (Python's default
+# int_max_str_digits)
+_PRINTABLE = 10**4300
+
+
+def _count_text(n: int) -> str:
+    """n in decimal, or past 4300 digits the tightest 'more than 10^e'."""
+    if n < _PRINTABLE:
+        return str(n)
+    e = int(n.bit_length() * math.log10(2))
+    while 10**e >= n:
+        e -= 1
+    return f"more than 10^{e}"
 
 
 class BudgetExceededError(RuntimeError):
@@ -18,7 +35,7 @@ class BudgetExceededError(RuntimeError):
         if needed is None:
             message = f"enumeration passed the budget of {budget} candidates"
         else:
-            message = f"enumeration needs {needed} candidates, budget is {budget}"
+            message = f"enumeration needs {_count_text(needed)} candidates, budget is {budget}"
         super().__init__(message)
         self.needed = needed
         self.budget = budget
@@ -127,10 +144,10 @@ def validate_subcode(code: EvaluationCode, polynomials) -> SubcodeSpec:
             )
         coeff_rows.append(code.polynomial_to_coefficients(p))
     A = np.array(coeff_rows, dtype=np.int64)
-    if matrix_rank(A, q) < len(polys):
+    reduced, pivots = rref(A, q)
+    if len(pivots) < len(polys):
         witness = kernel_basis(A.T, q)[0]
         raise DependentSubcodeError(witness.tolist())
-    reduced, _ = rref(A, q)
     return SubcodeSpec(code, polys, reduced)
 
 

@@ -11,22 +11,30 @@ from .monideal import (
     MonomialIdeal,
     monomial_quotient_degree,
 )
-from .polyring import GREVLEX, Monomial, MonomialOrder, PolyRing, Polynomial
+from .polyring import GREVLEX, MonomialOrder, PolyRing, Polynomial, divides, lcm, quotient
+
+
+def _one_ring(polys):
+    ring = polys[0].ring if polys else None
+    if any(p.ring is not ring and p.ring != ring for p in polys):
+        raise ValueError("polynomials from different rings")
 
 
 def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     lf, lg = f.leading_monomial(order), g.leading_monomial(order)
-    lcm = lf.lcm(lg)
+    m = lcm(lf, lg)
     q = f.ring.q
     cf, cg = f.leading_coefficient(order), g.leading_coefficient(order)
-    return f.scaled_shift(lcm.divide_by(lf), pow(cf, -1, q)) - g.scaled_shift(
-        lcm.divide_by(lg), pow(cg, -1, q)
+    return f.scaled_shift(quotient(m, lf), pow(cf, -1, q)) - g.scaled_shift(
+        quotient(m, lg), pow(cg, -1, q)
     )
 
 
 def normal_form(f: Polynomial, divisors, order: MonomialOrder = GREVLEX) -> Polynomial:
     """Remainder of f under full division by the divisor list: no monomial of
     the result is divisible by any divisor's leading monomial."""
+    divisors = list(divisors)
+    _one_ring([f] + divisors)
     q = f.ring.q
     leads = [
         (d.leading_monomial(order), pow(d.leading_coefficient(order), -1, q), d)
@@ -39,12 +47,13 @@ def normal_form(f: Polynomial, divisors, order: MonomialOrder = GREVLEX) -> Poly
         lm = work.leading_monomial(order)
         lc = work.leading_coefficient(order)
         for dlm, dinv, d in leads:
-            if dlm.divides(lm):
-                work = work - d.scaled_shift(lm.divide_by(dlm), lc * dinv)
+            if divides(dlm, lm):
+                work = work - d.scaled_shift(quotient(lm, dlm), lc * dinv)
                 break
         else:
-            remainder = remainder + work.ring.from_terms({lm: lc})
-            work = work - work.ring.from_terms({lm: lc})
+            term = Polynomial(f.ring, {lm: lc})
+            remainder = remainder + term
+            work = work - term
     return remainder
 
 
@@ -55,19 +64,21 @@ def buchberger(gens, order: MonomialOrder = GREVLEX) -> list[Polynomial]:
     when it is made; pairs with coprime leading monomials are skipped since
     their S-polynomial always reduces to zero.
     """
+    gens = list(gens)
+    _one_ring(gens)
     basis = [g for g in gens if not g.is_zero()]
     leads = [g.leading_monomial(order) for g in basis]
     pairs: list = []
 
     def add_pairs(k: int):
         for m in range(k):
-            heapq.heappush(pairs, (order.key(leads[k].lcm(leads[m])), k, m))
+            heapq.heappush(pairs, (order.key(lcm(leads[k], leads[m])), k, m))
 
     for k in range(len(basis)):
         add_pairs(k)
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        if leads[i].is_coprime_with(leads[j]):
+        if not any(map(min, leads[i], leads[j])):
             continue
         s = normal_form(spolynomial(basis[i], basis[j], order), basis, order)
         if not s.is_zero():
@@ -93,7 +104,7 @@ def reduced_basis(basis, order: MonomialOrder = GREVLEX) -> list[Polynomial]:
         key=lambda g: order.key(g.leading_monomial(order)),
     ):
         lm = g.leading_monomial(order)
-        if not any(h.leading_monomial(order).divides(lm) for h in reduced):
+        if not any(divides(h.leading_monomial(order), lm) for h in reduced):
             reduced.append(normal_form(g, reduced, order).monic(order))
     return reduced
 
@@ -162,7 +173,7 @@ class Ideal:
             )
         return self._initial
 
-    def footprint_slice(self, d: int) -> list[Monomial]:
+    def footprint_slice(self, d: int) -> list[tuple[int, ...]]:
         """Standard monomials of degree d; their classes are a basis of the
         degree-d part of the quotient ring."""
         return self.initial_ideal().degree_slice(d)

@@ -11,7 +11,7 @@ from math import prod
 
 import numpy as np
 
-from .polyring import Monomial
+from .polyring import divides, format_monomial, monomial
 
 
 class UnsupportedDimensionError(ValueError):
@@ -39,29 +39,29 @@ class GradedQuotientSummary:
 
 
 class MonomialIdeal:
-    """An ideal generated by monomials, kept as its unique minimal basis."""
+    """An ideal generated by monomials (exponent tuples), kept as its unique
+    minimal basis."""
 
     __slots__ = ("nvars", "gens")
 
     def __init__(self, nvars: int, monomials=()):
         self.nvars = nvars
-        mons = []
-        for m in monomials:
-            if not isinstance(m, Monomial):
-                m = Monomial(m)
-            if len(m.exponents) != nvars:
-                raise ValueError(
-                    f"monomial {m} has {len(m.exponents)} exponents, expected {nvars}"
-                )
-            mons.append(m)
+        mons = [monomial(m) for m in monomials]
+        for m in mons:
+            self._check(m)
         self.gens = self._minimalize(mons)
 
+    def _check(self, m):
+        if len(m) != self.nvars:
+            raise ValueError(
+                f"monomial {format_monomial(m)} has {len(m)} exponents, expected {self.nvars}"
+            )
+
     @staticmethod
-    def _minimalize(mons) -> tuple[Monomial, ...]:
-        mons = sorted(set(mons), key=lambda m: (m.degree, m.exponents))
-        kept: list[Monomial] = []
-        for m in mons:
-            if not any(g.divides(m) for g in kept):
+    def _minimalize(mons) -> tuple[tuple[int, ...], ...]:
+        kept: list[tuple[int, ...]] = []
+        for m in sorted(set(mons), key=lambda m: (sum(m), m)):
+            if not any(divides(g, m) for g in kept):
                 kept.append(m)
         return tuple(kept)
 
@@ -69,10 +69,11 @@ class MonomialIdeal:
         return not self.gens
 
     def is_unit(self) -> bool:
-        return bool(self.gens) and self.gens[0].degree == 0
+        return bool(self.gens) and not any(self.gens[0])
 
-    def contains(self, monomial: Monomial) -> bool:
-        return any(g.divides(monomial) for g in self.gens)
+    def contains(self, monomial) -> bool:
+        self._check(monomial)
+        return any(divides(g, monomial) for g in self.gens)
 
     __contains__ = contains
 
@@ -86,9 +87,9 @@ class MonomialIdeal:
         generators, or None when no pure power is present."""
         out: list[int | None] = [None] * self.nvars
         for g in self.gens:
-            support = [j for j, e in enumerate(g.exponents) if e]
+            support = [j for j, e in enumerate(g) if e]
             if len(support) == 1:
-                out[support[0]] = g.exponents[support[0]]
+                out[support[0]] = g[support[0]]
             elif not support:
                 out = [0] * self.nvars
         return out
@@ -100,7 +101,7 @@ class MonomialIdeal:
         if self.is_unit():
             return -1
         supports = {
-            frozenset(j for j, e in enumerate(g.exponents) if e) for g in self.gens
+            frozenset(j for j, e in enumerate(g) if e) for g in self.gens
         }
         minimal = [s for s in supports if not any(t < s for t in supports)]
         for size in range(self.nvars, -1, -1):
@@ -110,7 +111,7 @@ class MonomialIdeal:
                     return size
         return 0
 
-    def degree_slice(self, d: int) -> list[Monomial]:
+    def degree_slice(self, d: int) -> list[tuple[int, ...]]:
         """Standard monomials (monomials outside J) of total degree d."""
         if d < 0:
             raise ValueError(f"degree must be nonnegative, got {d}")
@@ -119,14 +120,14 @@ class MonomialIdeal:
         caps = [
             d if e is None else min(d, e - 1) for e in self.pure_power_exponents()
         ]
-        out: list[Monomial] = []
+        out: list[tuple[int, ...]] = []
         exps = [0] * self.nvars
 
         def walk(pos: int, remaining: int):
             if pos == self.nvars - 1:
                 if remaining <= caps[pos]:
                     exps[pos] = remaining
-                    m = Monomial(exps)
+                    m = tuple(exps)
                     if not self.contains(m):
                         out.append(m)
                     exps[pos] = 0
@@ -153,7 +154,7 @@ class MonomialIdeal:
         return hash((self.nvars, self.gens))
 
     def __repr__(self) -> str:
-        inner = ", ".join(repr(g) for g in self.gens) if self.gens else "0"
+        inner = ", ".join(map(format_monomial, self.gens)) if self.gens else "0"
         return f"MonomialIdeal({inner})"
 
 
@@ -162,7 +163,7 @@ _GRID_BATCH = 1 << 16
 
 
 def _exponent_array(monomials, nvars: int) -> np.ndarray:
-    return np.array([m.exponents for m in monomials], dtype=np.int64).reshape(-1, nvars)
+    return np.array(monomials, dtype=np.int64).reshape(-1, nvars)
 
 
 def _standard_cells(gens: np.ndarray, caps, top: int | None = None) -> np.ndarray:
@@ -203,10 +204,9 @@ def _dimension_at_most_one(ideal: MonomialIdeal) -> int:
     return dim
 
 
-def monomial_quotient_degree(ideal: MonomialIdeal, extra=()) -> GradedQuotientSummary:
-    """Hilbert data and degree of S/(J + (extra)) for a monomial ideal J and
-    optional extra monomial generators, requiring dim <= 1.  Larger
-    dimensions raise UnsupportedDimensionError.
+def monomial_quotient_degree(ideal: MonomialIdeal) -> GradedQuotientSummary:
+    """Hilbert data and degree of S/J for a monomial ideal J, requiring
+    dim <= 1.  Larger dimensions raise UnsupportedDimensionError.
 
     In dimension zero every variable has a pure power x_j^p_j in J, so the
     standard monomials are the cells of the grid u_j < p_j outside J, and
@@ -221,9 +221,6 @@ def monomial_quotient_degree(ideal: MonomialIdeal, extra=()) -> GradedQuotientSu
     from D - nvars + 1 on, and the last two values must agree.  The cells
     counted are those of the grid capped at the pure powers and at D + 1.
     """
-    extra = tuple(extra)
-    if extra:
-        ideal = ideal.add(extra)
     if ideal.is_unit():
         return GradedQuotientSummary((0,), 0, 0, None)
     dim = _dimension_at_most_one(ideal)

@@ -12,7 +12,7 @@ from .field import PrimeField
 from .groebner import Ideal
 from .linalg import require_exact_int64, rref
 from .monideal import MonomialIdeal, monomial_quotient_degree
-from .polyring import GREVLEX, Monomial, MonomialOrder, PolyRing, Polynomial
+from .polyring import GREVLEX, MonomialOrder, PolyRing, Polynomial, monomial
 
 
 class ProjectivePointSet:
@@ -188,21 +188,19 @@ def format_points(X: ProjectivePointSet) -> str:
 
 def evaluation_matrix(X: ProjectivePointSet, basis) -> np.ndarray:
     """Matrix whose row i evaluates basis[i] at the points of X.  Entries may
-    be monomials or polynomials in X.s variables; all must be homogeneous
-    of one degree."""
-    entries = list(basis)
+    be exponent tuples or polynomials in X.s variables; all must be
+    homogeneous of one degree."""
+    entries = [b if isinstance(b, Polynomial) else monomial(b) for b in basis]
     degree = None
     for b in entries:
-        if isinstance(b, Monomial):
-            d, nvars = b.degree, len(b.exponents)
-        elif isinstance(b, Polynomial):
+        if isinstance(b, Polynomial):
             if b.is_zero():
                 raise ValueError("zero polynomial in evaluation basis")
             if not b.is_homogeneous():
                 raise ValueError(f"inhomogeneous entry {b.format()}")
             d, nvars = b.degree(), b.ring.nvars
         else:
-            raise ValueError(f"expected Monomial or Polynomial, got {type(b).__name__}")
+            d, nvars = sum(b), len(b)
         if nvars != X.s:
             raise ValueError(f"entry in {nvars} variables, points have {X.s} coordinates")
         if degree is None:
@@ -216,7 +214,7 @@ def evaluation_matrix(X: ProjectivePointSet, basis) -> np.ndarray:
     # every term of every entry, the terms of one entry contiguous
     starts, monomials, coeffs = [], [], []
     for b in entries:
-        terms = {b: 1} if isinstance(b, Monomial) else b.terms
+        terms = b.terms if isinstance(b, Polynomial) else {b: 1}
         starts.append(len(monomials))
         monomials.extend(terms)
         coeffs.extend(terms.values())
@@ -225,7 +223,7 @@ def evaluation_matrix(X: ProjectivePointSet, basis) -> np.ndarray:
     powers[0] = 1
     for e in range(1, degree + 1):
         powers[e] = powers[e - 1] * X.coords % q
-    exponents = np.array([m.exponents for m in monomials], dtype=np.int64)
+    exponents = np.array(monomials, dtype=np.int64)
     values = np.ones((len(monomials), len(X)), dtype=np.int64)
     for j in range(X.s):
         values = values * powers[exponents[:, j], :, j] % q
@@ -258,7 +256,7 @@ def vanishing_ideal(X: ProjectivePointSet, order: MonomialOrder = GREVLEX) -> Id
     q = X.field.q
     n = len(X)
     basis: list[Polynomial] = []
-    leads: list[Monomial] = []
+    leads: list[tuple[int, ...]] = []
     initial = MonomialIdeal(ring.nvars)
     rank_reached = None
     d = -1

@@ -1,13 +1,14 @@
 """Multivariate polynomial ring K[t1..ts] over a prime field, with selectable
 monomial orders and a text grammar for reading and printing polynomials.
 
-A polynomial maps monomials to coefficients that are plain ints in [1, q):
-every operation reduces mod q and drops the zeros."""
+A monomial is its exponent tuple, and a polynomial maps monomials to
+coefficients that are plain ints in [1, q): every operation reduces mod q
+and drops the zeros."""
 
 from __future__ import annotations
 
 import re
-from operator import index
+from operator import add, index, le, sub
 from itertools import combinations_with_replacement
 
 from .field import PrimeField
@@ -15,62 +16,36 @@ from .field import PrimeField
 EXPONENT_CAP = 10**6
 
 
-class Monomial:
-    """A power product of the ring variables, stored as an exponent tuple."""
+def monomial(exponents) -> tuple[int, ...]:
+    """A monomial: its exponent tuple, from any iterable of nonnegative
+    integers (numpy integers included).  A non-integer exponent raises
+    TypeError, a negative one ValueError."""
+    exps = tuple(map(index, exponents))
+    if min(exps, default=0) < 0:
+        raise ValueError(f"negative exponent in {exps}")
+    return exps
 
-    __slots__ = ("exponents", "degree", "_hash")
 
-    def __init__(self, exponents):
-        exps = tuple(map(index, exponents))
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps}")
-        self.exponents = exps
-        self.degree = sum(exps)
-        self._hash = hash(exps)
+def divides(a, b) -> bool:
+    return all(map(le, a, b))
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(a + b for a, b in zip(self.exponents, other.exponents))
 
-    def divides(self, other: "Monomial") -> bool:
-        self._check(other)
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
+def mul(a, b) -> tuple[int, ...]:
+    return tuple(map(add, a, b))
 
-    def divide_by(self, other: "Monomial") -> "Monomial":
-        """Exact quotient self / other; other must divide self."""
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial(a - b for a, b in zip(self.exponents, other.exponents))
 
-    def lcm(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(max(a, b) for a, b in zip(self.exponents, other.exponents))
+def quotient(a, b) -> tuple[int, ...]:
+    """a / b, for b dividing a."""
+    return tuple(map(sub, a, b))
 
-    def gcd(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(min(a, b) for a, b in zip(self.exponents, other.exponents))
 
-    def is_coprime_with(self, other: "Monomial") -> bool:
-        self._check(other)
-        return all(min(a, b) == 0 for a, b in zip(self.exponents, other.exponents))
+def lcm(a, b) -> tuple[int, ...]:
+    return tuple(map(max, a, b))
 
-    def _check(self, other: "Monomial"):
-        if len(other.exponents) != len(self.exponents):
-            raise ValueError("monomials from rings with different variable counts")
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and other.exponents == self.exponents
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        parts = [
-            f"t{i + 1}" if e == 1 else f"t{i + 1}^{e}"
-            for i, e in enumerate(self.exponents)
-            if e != 0
-        ]
-        return "*".join(parts) if parts else "1"
+def format_monomial(m) -> str:
+    parts = (f"t{i + 1}" if e == 1 else f"t{i + 1}^{e}" for i, e in enumerate(m) if e)
+    return "*".join(parts) or "1"
 
 
 class MonomialOrder:
@@ -80,49 +55,28 @@ class MonomialOrder:
     picks the leading monomial.
     """
 
-    name = "?"
+    __slots__ = ("name", "key")
 
-    def key(self, monomial: Monomial):
-        raise NotImplementedError
+    def __init__(self, name: str, key):
+        self.name = name
+        self.key = key
 
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        if len(a.exponents) != len(b.exponents):
+    def compare(self, a, b) -> int:
+        if len(a) != len(b):
             raise ValueError("cannot compare monomials with different variable counts")
         ka, kb = self.key(a), self.key(b)
         return (ka > kb) - (ka < kb)
 
-    def sorted(self, monomials, reverse: bool = False) -> list[Monomial]:
+    def sorted(self, monomials, reverse: bool = False) -> list[tuple[int, ...]]:
         return sorted(monomials, key=self.key, reverse=reverse)
 
     def __repr__(self) -> str:
         return f"<order {self.name}>"
 
 
-class _Grevlex(MonomialOrder):
-    name = "grevlex"
-
-    def key(self, monomial: Monomial):
-        e = monomial.exponents
-        return (monomial.degree, tuple(-x for x in reversed(e)))
-
-
-class _Lex(MonomialOrder):
-    name = "lex"
-
-    def key(self, monomial: Monomial):
-        return monomial.exponents
-
-
-class _Grlex(MonomialOrder):
-    name = "grlex"
-
-    def key(self, monomial: Monomial):
-        return (monomial.degree, monomial.exponents)
-
-
-GREVLEX = _Grevlex()
-LEX = _Lex()
-GRLEX = _Grlex()
+GREVLEX = MonomialOrder("grevlex", lambda m: (sum(m), tuple(-e for e in reversed(m))))
+LEX = MonomialOrder("lex", lambda m: m)
+GRLEX = MonomialOrder("grlex", lambda m: (sum(m), m))
 ORDERS = {"grevlex": GREVLEX, "lex": LEX, "grlex": GRLEX}
 
 
@@ -149,24 +103,20 @@ class PolyRing:
     def q(self) -> int:
         return self.field.q
 
-    def monomial(self, exponents) -> Monomial:
-        m = exponents if isinstance(exponents, Monomial) else Monomial(exponents)
-        if len(m.exponents) != self.nvars:
-            raise ValueError(
-                f"expected {self.nvars} exponents, got {len(m.exponents)}"
-            )
+    def monomial(self, exponents) -> tuple[int, ...]:
+        m = monomial(exponents)
+        if len(m) != self.nvars:
+            raise ValueError(f"expected {self.nvars} exponents, got {len(m)}")
         return m
 
-    def one_monomial(self) -> Monomial:
-        return Monomial((0,) * self.nvars)
+    def one_monomial(self) -> tuple[int, ...]:
+        return (0,) * self.nvars
 
     def gens(self) -> tuple["Polynomial", ...]:
-        out = []
-        for i in range(self.nvars):
-            exps = [0] * self.nvars
-            exps[i] = 1
-            out.append(self.from_terms({Monomial(exps): 1}))
-        return tuple(out)
+        n = self.nvars
+        return tuple(
+            Polynomial(self, {tuple(int(i == j) for j in range(n)): 1}) for i in range(n)
+        )
 
     def variable(self, index: int) -> "Polynomial":
         return self.gens()[index]
@@ -181,7 +131,7 @@ class PolyRing:
         return self.from_terms({self.one_monomial(): c})
 
     def from_terms(self, terms) -> "Polynomial":
-        """Build a polynomial from {Monomial: integer coefficient}, reducing
+        """Build a polynomial from {exponent tuple: integer coefficient}, reducing
         mod q and dropping zeros.  A non-integer coefficient raises TypeError."""
         q = self.field.q
         clean = {}
@@ -192,7 +142,7 @@ class PolyRing:
                 clean[mon] = coeff
         return Polynomial(self, clean)
 
-    def monomials_of_degree(self, d: int) -> list[Monomial]:
+    def monomials_of_degree(self, d: int) -> list[tuple[int, ...]]:
         """All monomials of total degree d, unsorted."""
         if d < 0:
             raise ValueError(f"degree must be nonnegative, got {d}")
@@ -201,7 +151,7 @@ class PolyRing:
             exps = [0] * self.nvars
             for i in combo:
                 exps[i] += 1
-            out.append(Monomial(exps))
+            out.append(tuple(exps))
         return out
 
     def parse(self, text: str) -> "Polynomial":
@@ -279,7 +229,7 @@ class Polynomial:
             out: dict = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
-                    mon = m1 * m2
+                    mon = mul(m1, m2)
                     out[mon] = out.get(mon, 0) + c1 * c2
             return self.ring.from_terms(out)
         if not isinstance(other, int):
@@ -300,17 +250,18 @@ class Polynomial:
             result = result * self
         return result
 
-    def scaled_shift(self, monomial: Monomial, coeff) -> "Polynomial":
+    def scaled_shift(self, monomial, coeff) -> "Polynomial":
         """coeff * monomial * self, the workhorse step of division."""
+        shift = self.ring.monomial(monomial)
         q = self.ring.q
         c = index(coeff) % q
         if not c:
             return self.ring.zero()
         return Polynomial(
-            self.ring, {m * monomial: v * c % q for m, v in self.terms.items()}
+            self.ring, {mul(m, shift): v * c % q for m, v in self.terms.items()}
         )
 
-    def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Monomial:
+    def leading_monomial(self, order: MonomialOrder = GREVLEX) -> tuple[int, ...]:
         if not self.terms:
             raise ValueError("the zero polynomial has no leading monomial")
         cached = self._lm_cache.get(order.name)
@@ -322,21 +273,18 @@ class Polynomial:
     def leading_coefficient(self, order: MonomialOrder = GREVLEX) -> int:
         return self.terms[self.leading_monomial(order)]
 
-    def coefficient(self, monomial: Monomial) -> int:
+    def coefficient(self, monomial) -> int:
         return self.terms.get(monomial, 0)
 
-    def monomials(self) -> list[Monomial]:
+    def monomials(self) -> list[tuple[int, ...]]:
         return list(self.terms)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(m.degree for m in self.terms)
+        return max(map(sum, self.terms), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degrees = {m.degree for m in self.terms}
-        return len(degrees) <= 1
+        return len(set(map(sum, self.terms))) <= 1
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
         if not self.terms:
@@ -354,7 +302,7 @@ class Polynomial:
         total = 0
         for mon, coeff in self.terms.items():
             prod = coeff
-            for v, e in zip(vals, mon.exponents):
+            for v, e in zip(vals, mon):
                 if e:
                     prod = prod * pow(v, e, q) % q
             total = (total + prod) % q
@@ -368,12 +316,12 @@ class Polynomial:
         parts = []
         for mon in order.sorted(self.terms, reverse=True):
             coeff = self.terms[mon]
-            if mon.degree == 0:
+            if not any(mon):
                 parts.append(str(coeff))
             elif coeff == 1:
-                parts.append(repr(mon))
+                parts.append(format_monomial(mon))
             else:
-                parts.append(f"{coeff}*{mon!r}")
+                parts.append(f"{coeff}*{format_monomial(mon)}")
         return " + ".join(parts)
 
     def __str__(self) -> str:
@@ -474,7 +422,7 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
                 coeff = parse_factor(exps, coeff)
             else:
                 break
-        mon = Monomial(exps)
+        mon = tuple(exps)
         acc = terms.get(mon, 0) + coeff
         if acc % ring.q == 0:
             terms.pop(mon, None)

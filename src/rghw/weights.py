@@ -16,7 +16,7 @@ from .codes import (
     validate_subcode,
 )
 from .groebner import Ideal
-from .linalg import gaussian_binomial, require_exact_int64
+from .linalg import gaussian_binomial
 
 
 class FootprintProfile:
@@ -248,9 +248,6 @@ class CandidateScan:
         total = q ** (r * k1) * gaussian_binomial(k - k1, r, q)
         if total > budget:
             raise BudgetExceededError(total, budget)
-        # products: C_1 coefficients times k generator rows, and base plus
-        # up to r (k - r) directions, each a residue times a residue
-        require_exact_int64(q, max(k, r * (k - r) + 1))
         pivots = {int(np.argmax(row != 0)) for row in sub.coeff_rows}
         rows = code.generator_rows
         off = rows[[c for c in range(k) if c not in pivots]]

@@ -23,49 +23,45 @@ from rghw.groebner import Ideal, buchberger, normal_form, reduced_basis
 from rghw.linalg import gaussian_binomial, kernel_basis, matrix_rank, rref
 from rghw.monideal import FootprintRays, MonomialIdeal, monomial_quotient_degree
 from rghw.points import ProjectivePointSet, all_projective_points, evaluation_matrix
-from rghw.polyring import GREVLEX, Monomial, MonomialOrder, PolyRing, Polynomial
+from rghw.polyring import GREVLEX, MonomialOrder, PolyRing, Polynomial, divides, lcm, quotient
 
 
 # --- polynomial and ideal algebra -------------------------------------------
 
 
-class EliminateLastOrder(MonomialOrder):
-    """Block order that eliminates the last variable: compare its exponent
-    first, break ties by grevlex on the remaining variables.  Any monomial
-    containing the last variable is greater than any monomial without it, so
-    a leading monomial free of it certifies the whole polynomial is."""
-
-    name = "eliminate-last"
-
-    def key(self, monomial: Monomial):
-        e = monomial.exponents
-        front = e[:-1]
-        return (e[-1], sum(front), tuple(-x for x in reversed(front)))
+# Block order that eliminates the last variable: compare its exponent first,
+# break ties by grevlex on the remaining variables.  Any monomial containing
+# the last variable is greater than any monomial without it, so a leading
+# monomial free of it certifies the whole polynomial is.
+ELIMINATE_LAST = MonomialOrder(
+    "eliminate-last",
+    lambda e: (e[-1], sum(e[:-1]), tuple(-x for x in reversed(e[:-1]))),
+)
 
 
 def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
     """Quotient f/g when g divides f exactly; raises otherwise."""
-    quotient = f.ring.zero()
+    result = f.ring.zero()
     work = f
     glm = g.leading_monomial(order)
     q = f.ring.q
     ginv = pow(g.leading_coefficient(order), -1, q)
     while not work.is_zero():
         lm = work.leading_monomial(order)
-        if not glm.divides(lm):
+        if not divides(glm, lm):
             raise ValueError(f"{g} does not divide {f}")
-        step = lm.divide_by(glm)
+        step = quotient(lm, glm)
         coeff = work.leading_coefficient(order) * ginv % q
-        quotient = quotient + f.ring.from_terms({step: coeff})
+        result = result + f.ring.from_terms({step: coeff})
         work = work - g.scaled_shift(step, coeff)
-    return quotient
+    return result
 
 
 def homogeneous_components(f: Polynomial) -> list[Polynomial]:
     """The homogeneous parts of f, by increasing degree."""
     by_degree: dict[int, dict] = {}
     for m, c in f.terms.items():
-        by_degree.setdefault(m.degree, {})[m] = c
+        by_degree.setdefault(sum(m), {})[m] = c
     return [Polynomial(f.ring, by_degree[d]) for d in sorted(by_degree)]
 
 
@@ -84,7 +80,7 @@ def reduced_basis_by_fixed_point(basis, order: MonomialOrder = GREVLEX) -> list[
     kept: list[Polynomial] = []
     for g in sorted(basis, key=lambda g: order.key(g.leading_monomial(order))):
         lm = g.leading_monomial(order)
-        if not any(h.leading_monomial(order).divides(lm) for h in kept):
+        if not any(divides(h.leading_monomial(order), lm) for h in kept):
             kept.append(g)
     while True:
         reduced = []
@@ -105,23 +101,17 @@ def reduced_basis_by_fixed_point(basis, order: MonomialOrder = GREVLEX) -> list[
 def _eliminate_last(gens, ring: PolyRing) -> list[Polynomial]:
     """Groebner basis members free of the last (auxiliary) variable, mapped
     back down to the original ring."""
-    order = EliminateLastOrder()
+    order = ELIMINATE_LAST
     gb = reduced_basis(buchberger(gens, order), order)
     out = []
     for g in gb:
-        if g.leading_monomial(order).exponents[-1] == 0:
-            out.append(
-                ring.from_terms(
-                    {Monomial(m.exponents[:-1]): c for m, c in g.terms.items()}
-                )
-            )
+        if g.leading_monomial(order)[-1] == 0:
+            out.append(ring.from_terms({m[:-1]: c for m, c in g.terms.items()}))
     return out
 
 
 def _lift(f: Polynomial, ring_ext: PolyRing) -> Polynomial:
-    return ring_ext.from_terms(
-        {Monomial(m.exponents + (0,)): c for m, c in f.terms.items()}
-    )
+    return ring_ext.from_terms({m + (0,): c for m, c in f.terms.items()})
 
 
 def ideal_intersection(left: Ideal, right: Ideal) -> Ideal:
@@ -172,15 +162,17 @@ def monomial_intersection(left: MonomialIdeal, right: MonomialIdeal) -> Monomial
     if left.is_zero() or right.is_zero():
         return MonomialIdeal(left.nvars)
     return MonomialIdeal(
-        left.nvars, [a.lcm(b) for a in left.gens for b in right.gens]
+        left.nvars, [lcm(a, b) for a in left.gens for b in right.gens]
     )
 
 
-def quotient_by_monomial(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
+def quotient_by_monomial(ideal: MonomialIdeal, m) -> MonomialIdeal:
     """The colon ideal (J : m) = {f : f*m in J}."""
-    if not isinstance(m, Monomial) or len(m.exponents) != ideal.nvars:
+    if not isinstance(m, tuple) or len(m) != ideal.nvars:
         raise ValueError(f"expected a monomial in {ideal.nvars} variables")
-    return MonomialIdeal(ideal.nvars, [g.divide_by(g.gcd(m)) for g in ideal.gens])
+    return MonomialIdeal(
+        ideal.nvars, [quotient(g, tuple(map(min, g, m))) for g in ideal.gens]
+    )
 
 
 def quotient_by_set(ideal: MonomialIdeal, monomials) -> MonomialIdeal:
@@ -487,11 +479,10 @@ def full_space_rgmdf(code, r, sub=None, budget=10**7):
     return degree - best
 
 
-def survival_mask(engine, monomial):
+def survival_mask(engine, mu):
     """Bit b set when ray cell b of the FootprintRays engine stays standard
     in S/(J + (monomial)), one cell at a time: the monomial kills cell
     (i, m') exactly when its exponents away from direction i fit under m'."""
-    mu = monomial.exponents
     mask = 0
     for b, (i, cell) in enumerate(engine.ray_cells):
         if any(mu[j] > cell[j] for j in range(len(mu)) if j != i):
@@ -503,10 +494,10 @@ def witness_mask(engine, monomial):
     """Bit b set when witness cell b of the engine lands in J once
     multiplied by the monomial, tested against J's generators divided by
     their gcd with it, one cell at a time."""
-    shifted = [g.divide_by(g.gcd(monomial)) for g in engine.ideal.gens]
+    shifted = [quotient(g, tuple(map(min, g, monomial))) for g in engine.ideal.gens]
     mask = 0
     for b, v in enumerate(engine.witness_cells):
-        if any(all(s <= w for s, w in zip(g.exponents, v)) for g in shifted):
+        if any(all(s <= w for s, w in zip(g, v)) for g in shifted):
             mask |= 1 << b
     return mask
 
@@ -520,7 +511,7 @@ def sum_degree(engine, monomials, survivors=None):
             survivors &= survival_mask(engine, m)
     if survivors:
         return survivors.bit_count()
-    return monomial_quotient_degree(engine.ideal, monomials).degree
+    return monomial_quotient_degree(engine.ideal.add(monomials)).degree
 
 
 def footprint_by_subset_walk(ideal, d, rmax):

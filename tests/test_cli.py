@@ -243,6 +243,20 @@ def test_budget_exhaustion_marks_and_exit_3(capsys, tmp_path):
     )
 
 
+def test_budget_marks_counts_past_the_int_to_str_digit_limit(capsys, tmp_path):
+    # the torus of P^3 over F_7 at d = 9 has k = 216: its r = 44 scan needs
+    # more than 10^4313 subspaces, past the 4300 digits str() converts
+    (tmp_path / "t.cfg").write_text(
+        "q = 7\ns = 4\nsource = torus\nfunction = delta\ndmax = 9\n"
+    )
+    code, out, err = run(capsys, ["matrix", "--config", str(tmp_path / "t.cfg")])
+    assert code == 3
+    assert "!" in out.splitlines()[-1]
+    assert "line 4, d=9, r=44: enumeration needs more than 10^4313 candidates, " \
+        "budget is 10000000\n" in err
+    assert "Traceback" not in err
+
+
 def test_budget_weighs_the_subspaces_a_subcode_leaves(capsys, tmp_path):
     # with k1 = 1 the scan visits 5 [2, 1]_5 = 30 and 25 [2, 2]_5 = 25
     # subspaces, not the [3, r]_5 = 31 of the whole code

@@ -76,7 +76,7 @@ def test_subcode_of_linear_form():
     assert sub.coeff_rows.shape == (1, 4)
     [row] = sub.coeff_rows
     poly = code.coefficients_to_polynomial(row)
-    assert poly.leading_monomial(code.order).exponents == (1, 0, 0, 0)
+    assert poly.leading_monomial(code.order) == (1, 0, 0, 0)
     assert (evaluation_matrix(code.X, [poly]) == 1).all()
 
 
@@ -174,6 +174,20 @@ def test_budget_guard():
         rgmdf(code, 1, sub, budget=10)
     assert err.value.needed == gaussian_binomial(3, 1, 5)
     assert err.value.budget == 10
+
+
+def test_budget_message_past_the_int_to_str_digit_limit():
+    # up to 4300 digits the count prints exactly; past that, str() refuses
+    # it, and the message gives the tightest power-of-ten lower bound
+    exact = 10**4300 - 1
+    assert str(BudgetExceededError(exact, 10)) == (
+        f"enumeration needs {'9' * 4300} candidates, budget is 10"
+    )
+    for needed, e in ((10**4300, 4299), (10**4300 + 1, 4300), (7**12000, 10141)):
+        err = BudgetExceededError(needed, 10)
+        assert 10**e < needed <= 10 ** (e + 1)
+        assert str(err) == f"enumeration needs more than 10^{e} candidates, budget is 10"
+        assert err.needed == needed
 
 
 def test_subspace_support_examples():

@@ -20,7 +20,7 @@ from oracles import (
 )
 
 from rghw.field import PrimeField
-from rghw.polyring import Monomial, PolyRing
+from rghw.polyring import PolyRing, divides, monomial
 from rghw.monideal import (
     FootprintRays,
     GradedQuotientSummary,
@@ -32,7 +32,7 @@ from rghw.groebner import Ideal
 
 
 def M(*exps):
-    return Monomial(exps)
+    return monomial(exps)
 
 
 def random_low_dim_ideal(rng, nvars):
@@ -43,12 +43,12 @@ def random_low_dim_ideal(rng, nvars):
         if j != free:
             e = [0] * nvars
             e[j] = rng.randint(1, 4)
-            gens.append(Monomial(e))
+            gens.append(monomial(e))
     for _ in range(rng.randrange(4)):
-        gens.append(Monomial([rng.randrange(4) for _ in range(nvars)]))
+        gens.append(monomial([rng.randrange(4) for _ in range(nvars)]))
     J = MonomialIdeal(nvars, gens)
     if J.is_unit():
-        J = MonomialIdeal(nvars, [g for g in gens if g.degree > 0])
+        J = MonomialIdeal(nvars, [g for g in gens if any(g)])
     return J
 
 
@@ -64,7 +64,7 @@ def test_minimal_generator_antichain():
     assert J.gens == (M(1, 0),)
     K = MonomialIdeal(3, [M(2, 0, 0), M(0, 2, 0), M(1, 1, 1), M(2, 1, 0)])
     for a, b in itertools.permutations(K.gens, 2):
-        assert not a.divides(b)
+        assert not divides(a, b)
 
 
 def test_membership():
@@ -88,6 +88,9 @@ def test_wrong_variable_count_rejected():
     with pytest.raises(ValueError):
         MonomialIdeal(3, [M(1, 0)])
     J = MonomialIdeal(3, [M(1, 0, 0)])
+    for m in (M(1, 0), M(1, 0, 0, 0)):
+        with pytest.raises(ValueError, match="expected 3"):
+            m in J
     with pytest.raises(ValueError):
         quotient_by_monomial(J, M(1, 0))
     with pytest.raises(ValueError):
@@ -121,10 +124,10 @@ def test_quotient_contains_ideal():
         nv = rng.randint(1, 4)
         J = MonomialIdeal(
             nv,
-            [Monomial([rng.randrange(4) for _ in range(nv)]) for _ in range(rng.randint(1, 4))],
+            [monomial([rng.randrange(4) for _ in range(nv)]) for _ in range(rng.randint(1, 4))],
         )
-        ms = [Monomial([rng.randrange(3) for _ in range(nv)]) for _ in range(rng.randint(1, 3))]
-        if any(m.degree == 0 for m in ms):
+        ms = [monomial([rng.randrange(3) for _ in range(nv)]) for _ in range(rng.randint(1, 3))]
+        if (0,) * nv in ms:
             continue
         Q = quotient_by_set(J, ms)
         for g in J.gens:
@@ -136,15 +139,15 @@ def test_intersection_against_membership():
     for _ in range(40):
         nv = rng.randint(1, 3)
         A = MonomialIdeal(
-            nv, [Monomial([rng.randrange(4) for _ in range(nv)]) for _ in range(rng.randint(1, 3))]
+            nv, [monomial([rng.randrange(4) for _ in range(nv)]) for _ in range(rng.randint(1, 3))]
         )
         B = MonomialIdeal(
-            nv, [Monomial([rng.randrange(4) for _ in range(nv)]) for _ in range(rng.randint(1, 3))]
+            nv, [monomial([rng.randrange(4) for _ in range(nv)]) for _ in range(rng.randint(1, 3))]
         )
         meet = monomial_intersection(A, B)
         assert meet == monomial_intersection(B, A)
         for exps in itertools.product(range(5), repeat=nv):
-            m = Monomial(exps)
+            m = monomial(exps)
             assert (m in meet) == (m in A and m in B)
     Z = MonomialIdeal(2)
     assert monomial_intersection(MonomialIdeal(2, [M(1, 1)]), Z).is_zero()
@@ -164,9 +167,9 @@ def test_degree_slice_enumerates_standard_monomials():
     for d in range(8):
         got = set(J.degree_slice(d))
         want = {
-            Monomial(e)
+            monomial(e)
             for e in itertools.product(range(d + 1), repeat=3)
-            if sum(e) == d and Monomial(e) not in J
+            if sum(e) == d and monomial(e) not in J
         }
         assert got == want
     with pytest.raises(ValueError):
@@ -183,7 +186,7 @@ def test_monomial_quotient_degree_known_values():
     s = monomial_quotient_degree(J)
     assert s.degree == 4 and s.dimension == 1
     for nv in range(1, 5):
-        gens = [Monomial([1 if j == i else 0 for j in range(nv)]) for i in range(nv)]
+        gens = [monomial([1 if j == i else 0 for j in range(nv)]) for i in range(nv)]
         assert monomial_quotient_degree(MonomialIdeal(nv, gens)).degree == 1
     s = monomial_quotient_degree(MonomialIdeal(3, [M(4, 0, 0), M(0, 4, 0)]))
     assert s.degree == 16 and s.reg_index == 6
@@ -202,13 +205,12 @@ def test_monomial_quotient_degree_edge_cases():
 
 
 def test_monomial_quotient_degree_extra_argument():
+    # extra generators adjoined with J.add
     J = MonomialIdeal(4, [M(2, 0, 0, 0), M(0, 2, 0, 0), M(0, 0, 2, 0)])
-    extra = [M(0, 1, 0, 0)]
-    assert monomial_quotient_degree(J, extra) == monomial_quotient_degree(J.add(extra))
-    assert monomial_quotient_degree(J, extra).degree == 4
+    assert monomial_quotient_degree(J.add([M(0, 1, 0, 0)])).degree == 4
     # dim 2 drops to dim 0 once enough variables are adjoined
     K = MonomialIdeal(3, [M(2, 0, 0)])
-    s = monomial_quotient_degree(K, [M(0, 1, 0), M(0, 0, 1)])
+    s = monomial_quotient_degree(K.add([M(0, 1, 0), M(0, 0, 1)]))
     assert s.degree == 2 and s.dimension == 0
 
 
@@ -239,7 +241,7 @@ def summary_by_taylor_bound(J):
     """Hilbert data of S/J in dimension one, evaluated through D*+1 with D*
     the sum of the generator degrees, which bounds the regularity through
     the Taylor resolution."""
-    dstar = sum(g.degree for g in J.gens)
+    dstar = sum(map(sum, J.gens))
     values = [J.hilbert_function(d) for d in range(dstar + 2)]
     assert values[dstar] == values[dstar + 1]
     reg = dstar
@@ -256,7 +258,7 @@ def dimension_one_ideals(draw):
     for j in range(nvars):
         power = draw(st.integers(0, 5))  # 0 leaves variable j without a pure power
         if power:
-            gens.append(Monomial([power if i == j else 0 for i in range(nvars)]))
+            gens.append(monomial([power if i == j else 0 for i in range(nvars)]))
     gens += draw(st.lists(st.lists(exponent, min_size=nvars, max_size=nvars), max_size=4))
     J = MonomialIdeal(nvars, gens)
     assume(not J.is_unit())
@@ -308,11 +310,11 @@ def test_sum_degree_matches_direct_count():
         nv = rng.randint(2, 4)
         J = random_low_dim_ideal(rng, nv)
         fr = FootprintRays(J)
-        cands = [m for m in standard_monomials_upto(J, 3) if m.degree > 0]
+        cands = [m for m in standard_monomials_upto(J, 3) if any(m)]
         if not cands:
             continue
         Mset = rng.sample(cands, min(len(cands), rng.randint(1, 3)))
-        assert sum_degree(fr, Mset) == monomial_quotient_degree(J, Mset).degree
+        assert sum_degree(fr, Mset) == monomial_quotient_degree(J.add(Mset)).degree
 
 
 def test_witness_masks_decide_colon_inequality():
@@ -321,7 +323,7 @@ def test_witness_masks_decide_colon_inequality():
         nv = rng.randint(2, 4)
         J = random_low_dim_ideal(rng, nv)
         fr = FootprintRays(J)
-        cands = [m for m in standard_monomials_upto(J, 3) if m.degree > 0]
+        cands = [m for m in standard_monomials_upto(J, 3) if any(m)]
         if not cands:
             continue
         Mset = rng.sample(cands, min(len(cands), rng.randint(1, 3)))
@@ -338,7 +340,7 @@ def all_small_ideals(nvars):
             e = [0] * nvars
             for j in c:
                 e[j] += 1
-            pool.append(Monomial(e))
+            pool.append(monomial(e))
     seen = {}
     for r in range(len(pool) + 1):
         for sub in itertools.combinations(pool, r):

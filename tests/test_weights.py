@@ -26,7 +26,7 @@ from oracles import (
 from rghw.codes import BudgetExceededError, build_code, validate_subcode
 from rghw.field import PrimeField
 from rghw.groebner import Ideal
-from rghw.linalg import gaussian_binomial
+from rghw.linalg import ModulusTooLargeError, gaussian_binomial
 from rghw.monideal import FootprintRays, MonomialIdeal, monomial_quotient_degree
 from rghw.points import (
     ProjectivePointSet,
@@ -34,7 +34,7 @@ from rghw.points import (
     projective_torus,
     zero_set,
 )
-from rghw.polyring import ORDERS, Monomial, PolyRing
+from rghw.polyring import ORDERS, PolyRing
 from rghw import weights
 from rghw.weights import CandidateScan, FootprintProfile, rgff, rgmdf
 from itertools import combinations
@@ -111,7 +111,7 @@ def test_footprint_profile_against_subset_enumeration(seed=70111):
                 if quotient_by_set(initial, subset) == initial:
                     continue
                 count += 1
-                score = monomial_quotient_degree(initial, subset).degree
+                score = monomial_quotient_degree(initial.add(subset)).degree
                 best = score if best is None else max(best, score)
             assert profile.candidate_count(r) == count
             expected = total if best is None else total - best
@@ -153,7 +153,7 @@ def _random_monomial_instances(rng, count):
             if any(e):
                 gens.append(e)
         order = ORDERS[rng.choice(sorted(ORDERS))]
-        polys = [ring.from_terms({Monomial(e): 1}) for e in gens]
+        polys = [ring.from_terms({e: 1}) for e in gens]
         ideal = Ideal(ring, polys, order)
         if MonomialIdeal(s, gens).dimension() > 1:
             continue
@@ -487,12 +487,16 @@ def test_budget_guard():
         full_space_rgmdf(code, 2, budget=5)
 
 
-def test_scan_refuses_moduli_whose_sums_overflow():
+def test_scan_sums_fit_wherever_the_code_builds():
     # q - 1 ~ 1.36 * 10^9: four products of residues fit in int64, five do
-    # not; the code (k = 4) is built, its r = 2 scan sums r (k - r) + 1 = 5
+    # not.  The scan's longest sum has k = 4 terms, so it takes this code and
+    # stops only at the budget; at q = 2^31 - 1 four products overflow and
+    # the code build refuses the modulus
     q = 1358187923
     points = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)]
     code = build_code(ProjectivePointSet(PrimeField(q), points), 1)
     assert code.k == 4
-    with pytest.raises(ValueError, match="q <= "):
-        CandidateScan(code, 2, budget=10**60)
+    with pytest.raises(BudgetExceededError):
+        CandidateScan(code, 2, budget=10**6)
+    with pytest.raises(ModulusTooLargeError):
+        build_code(ProjectivePointSet(PrimeField(2**31 - 1), points), 1)
