@@ -31,7 +31,7 @@ from .points import (
     zero_set,
 )
 from .polyring import ORDERS, PolyParseError, PolyRing
-from .weights import CandidateScan, FootprintProfile
+from .weights import CandidateScan, FootprintProfile, admissible_counts
 
 WEIGHTS_HEADER = (
     "d", "r", "k1", "G", "fp", "delta", "vasconcelos", "Mr",
@@ -77,6 +77,13 @@ def _parse_int(value: str, lineno: int, key: str) -> int:
         return int(value)
     except ValueError:
         raise ConfigError(f"line {lineno}: {key} must be an integer, got {value!r}") from None
+
+
+def _parse_k1(value: str, lineno: int) -> int:
+    k1 = _parse_int(value, lineno, "k1")
+    if k1 < 0:
+        raise ConfigError(f"line {lineno}: k1 must be nonnegative")
+    return k1
 
 
 def _parse_range(value: str, lineno: int, key: str, allow_all: bool):
@@ -165,7 +172,7 @@ def _apply_main_key(config: ProblemConfig, key: str, value: str, lineno: int):
         if config.dmax < 1:
             raise ConfigError(f"line {lineno}: dmax must be at least 1, got {config.dmax}")
     elif key == "k1":
-        config.k1 = _parse_int(value, lineno, "k1")
+        config.k1 = _parse_k1(value, lineno)
     elif key == "G":
         config.g_strings = tuple(_split_list(value))
     else:
@@ -178,9 +185,7 @@ def _apply_query_key(query: QuerySpec, key: str, value: str, lineno: int):
     elif key == "r":
         query.r_range = _parse_range(value, lineno, "r", allow_all=True)
     elif key == "k1":
-        query.k1 = _parse_int(value, lineno, "k1")
-        if query.k1 < 0:
-            raise ConfigError(f"line {lineno}: k1 must be nonnegative")
+        query.k1 = _parse_k1(value, lineno)
     elif key == "G":
         query.g_strings = tuple(_split_list(value))
     else:
@@ -437,20 +442,13 @@ def _cells(where: str, result, *reads) -> list[str]:
     return [str(read(result)) for read in reads]
 
 
-def _counted_profile(ideal: Ideal, d: int, rmax: int, budget: int) -> FootprintProfile:
-    """A footprint profile with the admissible subsets of every rank counted
-    (for cand_mono), so a budget overflow in either walk marks every rank."""
-    profile = FootprintProfile(ideal, d, rmax, budget)
-    profile.candidate_count(rmax)
-    return profile
-
-
 def cmd_weights(problem: Problem, args) -> tuple[str, int]:
     X = require_points(problem)
     require_certified(problem)
     rows: list[list[str]] = []
     codes: dict = {}
     profiles: dict = {}
+    counts: dict = {}
     for query, d in _expand_queries(problem):
         if d not in codes:
             codes[d] = build_code(X, d, problem.order)
@@ -467,13 +465,13 @@ def cmd_weights(problem: Problem, args) -> tuple[str, int]:
                 f"line {query.lineno}: r up to {r_hi} exceeds k - k1 = {rmax} at d = {d}"
             )
         if (d, r_hi) not in profiles:
-            profiles[d, r_hi] = _attempt(_counted_profile, code.ideal, d, r_hi, args.budget)
+            profiles[d, r_hi] = _attempt(FootprintProfile, code.ideal, d, r_hi, args.budget)
+            counts[d, r_hi] = _attempt(admissible_counts, code.ideal, d, r_hi, args.budget)
         for r in range(r_lo, r_hi + 1):
             started = time.perf_counter()
             where = f"line {query.lineno}, d={d}, r={r}"
-            fp_val, cand_mono = _cells(
-                where, profiles[d, r_hi], lambda p: p.value(r), lambda p: p.candidate_count(r)
-            )
+            [fp_val] = _cells(where, profiles[d, r_hi], lambda p: p.value(r))
+            [cand_mono] = _cells(where, counts[d, r_hi], lambda c: c[r])
             weight, cand_poly = _cells(
                 where, _attempt(CandidateScan, code, r, sub, args.budget),
                 lambda scan: scan.min_support, lambda scan: scan.family_count,
@@ -513,7 +511,8 @@ def cmd_matrix(problem: Problem, args) -> tuple[str, int]:
             for poly in (_parse_generator(problem.ring, g) for g in config.g_strings):
                 if poly.degree() != d:
                     raise ConfigError(
-                        f"subcode generator {poly.format()} is not homogeneous of degree {d}"
+                        f"subcode generator {poly.format(problem.order)} is not homogeneous "
+                        f"of degree {d}"
                     )
             per_d.append((d, ideal.hilbert_function(d) - config.k1, None, None))
         else:

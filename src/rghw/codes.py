@@ -29,7 +29,7 @@ def _count_text(n: int) -> str:
 
 class BudgetExceededError(RuntimeError):
     """Raised when an enumeration would visit more candidates than allowed.
-    `needed` is None for walks whose size is only known by walking them."""
+    `needed` is None for searches whose size is only known by running them."""
 
     def __init__(self, needed: int | None, budget: int):
         if needed is None:
@@ -94,7 +94,8 @@ class EvaluationCode:
         for mono, coeff in nf.terms.items():
             if mono not in index:
                 raise ValueError(
-                    f"{poly.format()} is not homogeneous of degree {self.d} modulo the ideal"
+                    f"{poly.format(self.order)} is not homogeneous of degree {self.d} "
+                    "modulo the ideal"
                 )
             out[index[mono]] = coeff
         return out
@@ -140,7 +141,7 @@ def validate_subcode(code: EvaluationCode, polynomials) -> SubcodeSpec:
             raise ValueError(f"expected a polynomial, got {type(p).__name__}")
         if p.is_zero() or not p.is_homogeneous() or p.degree() != code.d:
             raise ValueError(
-                f"subcode generator {p.format()} is not homogeneous of degree {code.d}"
+                f"subcode generator {p.format(code.order)} is not homogeneous of degree {code.d}"
             )
         coeff_rows.append(code.polynomial_to_coefficients(p))
     A = np.array(coeff_rows, dtype=np.int64)

@@ -24,9 +24,8 @@ def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomia
     lf, lg = f.leading_monomial(order), g.leading_monomial(order)
     m = lcm(lf, lg)
     q = f.ring.q
-    cf, cg = f.leading_coefficient(order), g.leading_coefficient(order)
-    return f.scaled_shift(quotient(m, lf), pow(cf, -1, q)) - g.scaled_shift(
-        quotient(m, lg), pow(cg, -1, q)
+    return f.scaled_shift(quotient(m, lf), pow(f.terms[lf], -1, q)) - g.scaled_shift(
+        quotient(m, lg), pow(g.terms[lg], -1, q)
     )
 
 
@@ -36,16 +35,13 @@ def normal_form(f: Polynomial, divisors, order: MonomialOrder = GREVLEX) -> Poly
     divisors = list(divisors)
     _one_ring([f] + divisors)
     q = f.ring.q
-    leads = [
-        (d.leading_monomial(order), pow(d.leading_coefficient(order), -1, q), d)
-        for d in divisors
-        if not d.is_zero()
-    ]
+    leads = [(d.leading_monomial(order), d) for d in divisors if not d.is_zero()]
+    leads = [(dlm, pow(d.terms[dlm], -1, q), d) for dlm, d in leads]
     remainder = f.ring.zero()
     work = f
     while not work.is_zero():
         lm = work.leading_monomial(order)
-        lc = work.leading_coefficient(order)
+        lc = work.terms[lm]
         for dlm, dinv, d in leads:
             if divides(dlm, lm):
                 work = work - d.scaled_shift(quotient(lm, dlm), lc * dinv)

@@ -54,22 +54,19 @@ class FootprintProfile:
 
     `counts[r]` is the number of nodes rank r's search expanded; the nodes
     of all ranks count against `budget`, past which BudgetExceededError is
-    raised.  `candidate_count` enumerates the admissible subsets themselves,
-    on first call, against a budget of its own."""
+    raised.  The number of admissible subsets is `admissible_counts`."""
 
     def __init__(
         self, ideal: Ideal, d: int, rmax: int | None = None, budget: int = 10**7
     ):
         self.ideal = ideal
         self.d = d
-        self.budget = budget
         pool = self.pool = ideal.order.sorted(ideal.footprint_slice(d), reverse=True)
         self.total_degree = ideal.degree()
         rmax = len(pool) if rmax is None else min(rmax, len(pool))
         self.rmax = rmax
         self.counts = [0] * (rmax + 1)
         self.best = [None] * (rmax + 1)
-        self._admissible = None
         if not pool or rmax < 1:
             return
         engine = ideal.footprint_rays()
@@ -81,7 +78,7 @@ class FootprintProfile:
             key=lambda i: (-survival[i].bit_count(), -witness[i].bit_count()),
         )
         pool = self.pool = [pool[i] for i in rank]
-        witness = self._witness = [witness[i] for i in rank]
+        witness = [witness[i] for i in rank]
         survival = [survival[i] for i in rank]
         # dominators[b]: bit a set for each a < b whose survival mask
         # contains b's
@@ -165,35 +162,41 @@ class FootprintProfile:
             return self.total_degree
         return self.total_degree - self.best[r]
 
-    def candidate_count(self, r: int) -> int:
-        """Number of admissible subsets of size r.  The first call counts
-        every size up to rmax by a depth-first walk over the witness masks,
-        and raises BudgetExceededError past `budget` subsets."""
-        if not 1 <= r <= self.rmax:
-            return 0
-        if self._admissible is None:
-            self._admissible = self._count_admissible()
-        return self._admissible[r]
 
-    def _count_admissible(self) -> list[int]:
-        witness, rmax, budget = self._witness, self.rmax, self.budget
-        counts = [0] * (rmax + 1)
-        visited = 0
+def admissible_counts(ideal: Ideal, d: int, rmax: int, budget: int = 10**7) -> list[int]:
+    """counts[r], for r <= rmax: the number of admissible r-subsets of the
+    degree-d footprint slice, those whose witness masks AND to nonzero.
 
-        def walk(start, wmask, size):
-            nonlocal visited
-            for i in range(start, len(witness)):
-                w = wmask & witness[i]
-                if w:
-                    visited += 1
-                    if visited > budget:
-                        raise BudgetExceededError(None, budget)
-                    counts[size] += 1
-                    if size < rmax:
-                        walk(i + 1, w, size + 1)
-
-        walk(0, -1, 1)
-        return counts
+    The candidates join one at a time, 0/1-knapsack style.  Each distinct
+    nonzero AND reached so far (the empty subset's is -1) keeps its number
+    of subsets of each size below rmax, as one int with a B-bit digit per
+    size, B = pool size + 1, so no digit carries.  A candidate with witness
+    mask w adds the vector of each AND m, one size up, to the AND m & w and
+    to the total, reading the vectors as they were before its pass.  Each
+    (AND, candidate) update counts against `budget`, past which
+    BudgetExceededError is raised."""
+    pool = ideal.footprint_slice(d)
+    rmax = min(rmax, len(pool))
+    if rmax < 1:
+        return [0] * (rmax + 1)
+    witness, _ = ideal.footprint_rays().masks(pool)
+    width = len(pool) + 1
+    growing = (1 << width * rmax) - 1  # sizes below rmax
+    by_mask = {-1: 1}
+    total = updates = 0
+    for w in witness:
+        for m, vec in list(by_mask.items()):
+            both = m & w
+            if both:
+                updates += 1
+                if updates > budget:
+                    raise BudgetExceededError(None, budget)
+                grown = vec << width
+                total += grown
+                if grown & growing:
+                    by_mask[both] = by_mask.get(both, 0) + (grown & growing)
+    digit = (1 << width) - 1
+    return [total >> width * r & digit for r in range(rmax + 1)]
 
 
 def rgff(ideal: Ideal, d: int, r: int) -> int:

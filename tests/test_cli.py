@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -337,15 +338,52 @@ def test_footprint_walk_budget_marks_and_exit_3(capsys, tmp_path):
     code, out, err = run(capsys, ["weights", "--config", str(tmp_path / "w.cfg"),
                                   "--format", "csv", "--budget", "10"])
     assert code == 3
-    for line in out.splitlines()[1:]:
-        cells = line.split(",")
-        assert cells[4] == cells[10] == "!"  # fp and cand_mono: 5 + 10 subsets
+    # the profile needs 5 nodes; the count needs 15 updates, so only
+    # cand_mono (and the scan's cells) show '!'
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [cells[4] for cells in rows] == ["8", "11"]
+    assert all(cells[5] == cells[10] == "!" for cells in rows)
     assert err.splitlines() == [
         "line 4, d=2, r=1: enumeration passed the budget of 10 candidates",
         "line 4, d=2, r=1: enumeration needs 3906 candidates, budget is 10",
         "line 4, d=2, r=2: enumeration passed the budget of 10 candidates",
         "line 4, d=2, r=2: enumeration needs 508431 candidates, budget is 10",
     ]
+
+
+def test_fp_is_printed_where_only_the_scan_overflows(capsys, tmp_path):
+    # torus of P^2/F_7, d = 6 (k = 26): 25 of the 26 standard monomials
+    # share a witness cell, so every subset of them is admissible; the
+    # count makes 2,903 updates where a walk would pass 10^7 subsets
+    (tmp_path / "t.cfg").write_text(
+        "q = 7\ns = 3\nsource = torus\nfunction = fp\ndmax = 6\n\n[query]\nd = 6\nr = all\n"
+    )
+    argv = ["--config", str(tmp_path / "t.cfg"), "--format", "csv"]
+    code, out, _ = run(capsys, ["matrix"] + argv)
+    assert code == 0
+    fp_row = out.splitlines()[-1].split(",")[1:]
+    code, out, err = run(capsys, ["weights"] + argv)
+    assert code == 3
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [cells[4] for cells in rows] == fp_row
+    assert fp_row[:7] + fp_row[-1:] == ["5", "6", "10", "11", "12", "15", "16", "36"]
+    assert [cells[10] for cells in rows] == [str(comb(25, r)) for r in range(1, 27)]
+    assert [cells[5] for cells in rows] == ["!"] * 25 + ["36"]
+    assert len(err.splitlines()) == 25
+
+
+def test_config_errors_format_polynomials_in_the_run_order(capsys, tmp_path):
+    # t2^3 leads under grevlex, t1*t3^2 under lex
+    torus = "q = 5\ns = 3\nsource = torus\n"
+    (tmp_path / "m.cfg").write_text(torus + "function = fp\ndmax = 1\nk1 = 1\nG = t2^3 + t1*t3^2\n")
+    (tmp_path / "w.cfg").write_text(torus + "[query]\nd = 2\nk1 = 1\nG = t2^3 + t1*t3^2\n")
+    for command, name, d in (("matrix", "m.cfg", 1), ("weights", "w.cfg", 2)):
+        argv = [command, "--config", str(tmp_path / name)]
+        for order, text in (("grevlex", "t2^3 + t1*t3^2"), ("lex", "t1*t3^2 + t2^3")):
+            assert run(capsys, argv + ["--order", order]) == (
+                2, "",
+                f"config error: subcode generator {text} is not homogeneous of degree {d}\n",
+            )
 
 
 def test_r_out_of_range_is_config_error(capsys, tmp_path):
@@ -378,6 +416,15 @@ def test_ideal_source_without_variables_is_config_error(capsys, tmp_path, comman
 def test_k1_g_mismatch_is_config_error():
     with pytest.raises(ConfigError, match="k1 = 2 but G lists 1"):
         parse_config("q = 3\ns = 4\nsource = torus\n\n[query]\nd = 1\nk1 = 2\nG = t1\n")
+
+
+@pytest.mark.parametrize("section", ["", "[query]\nd = 1\n"])
+def test_negative_k1_is_refused_on_its_line(section):
+    # the main section and a [query] block read k1 through one check
+    text = "q = 3\ns = 4\nsource = torus\n" + section + "k1 = -1\n"
+    line = len(text.splitlines())
+    with pytest.raises(ConfigError, match=f"^line {line}: k1 must be nonnegative$"):
+        parse_config(text)
 
 
 def test_repeated_main_key_is_config_error(capsys, tmp_path):

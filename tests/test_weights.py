@@ -36,9 +36,11 @@ from rghw.points import (
 )
 from rghw.polyring import ORDERS, PolyRing
 from rghw import weights
-from rghw.weights import CandidateScan, FootprintProfile, rgff, rgmdf
+from rghw.weights import CandidateScan, FootprintProfile, admissible_counts, rgff, rgmdf
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import and_
 
 
 def random_point_set(rng, q, s, n):
@@ -69,7 +71,7 @@ def test_footprint_triple_with_subcode_pool():
     assert [profile.value(r) for r in (1, 2, 3)] == [4, 6, 7]
     # rank 3 needs the full pool {t1, t2, t3}: dropping the initial-ideal
     # generators' own leads from the pool would leave no size-3 subset
-    assert profile.candidate_count(3) == 1
+    assert admissible_counts(ideal, 1, 3)[3] == 1
 
 
 def test_rgff_entry_points_agree():
@@ -101,6 +103,7 @@ def test_footprint_profile_against_subset_enumeration(seed=70111):
         if rmax == 0:
             continue
         profile = FootprintProfile(ideal, d, rmax)
+        counts = admissible_counts(ideal, d, rmax)
         total = ideal.degree()
         import itertools
 
@@ -113,7 +116,7 @@ def test_footprint_profile_against_subset_enumeration(seed=70111):
                 count += 1
                 score = monomial_quotient_degree(initial.add(subset)).degree
                 best = score if best is None else max(best, score)
-            assert profile.candidate_count(r) == count
+            assert counts[r] == count
             expected = total if best is None else total - best
             assert profile.value(r) == expected
 
@@ -236,11 +239,11 @@ def test_branch_and_bound_matches_subset_walk(family, seed=61907):
         rmax = ideal.hilbert_function(d)
         counts, best = footprint_by_subset_walk(ideal, d, rmax)
         profile = FootprintProfile(ideal, d, rmax)
+        assert admissible_counts(ideal, d, rmax) == counts, (ideal, d)
         total = ideal.degree()
         for r in range(1, rmax + 1):
             expected = total if best[r] is None else total - best[r]
             assert profile.value(r) == expected, (ideal, d, r)
-            assert profile.candidate_count(r) == counts[r], (ideal, d, r)
         zero_mask_instances += _reaches_zero_mask(ideal, d)
     if family != "torus":
         # the finite-quotient fallback and the zero-mask cut are exercised
@@ -264,17 +267,53 @@ def test_zero_mask_heavy_slice_keeps_its_row():
 
 
 def test_profile_budget_counts_nodes_and_subsets_separately():
-    # d = 2 on the torus of P^2/F_5: the search expands 22 nodes while
-    # 31 admissible subsets exist; each count has its own budget
+    # d = 2 on the torus of P^2/F_5: the search expands 22 nodes while the
+    # count of the 31 admissible subsets makes 20 updates; each is held to
+    # the budget on its own
     ideal = projective_torus(5, 3).vanishing_ideal()
-    profile = FootprintProfile(ideal, 2, 6, budget=30)
+    profile = FootprintProfile(ideal, 2, 6, budget=22)
     assert sum(profile.counts) == 22
     with pytest.raises(BudgetExceededError):
-        profile.candidate_count(1)
-    with pytest.raises(BudgetExceededError):
         FootprintProfile(ideal, 2, 6, budget=21)
-    profile = FootprintProfile(ideal, 2, 6, budget=31)
-    assert [profile.candidate_count(r) for r in range(1, 7)] == [5, 10, 10, 5, 1, 0]
+    with pytest.raises(BudgetExceededError):
+        admissible_counts(ideal, 2, 6, budget=19)
+    assert admissible_counts(ideal, 2, 6, budget=20) == [0, 5, 10, 10, 5, 1, 0]
+
+
+class _WitnessFamily:
+    """Stands in for an ideal whose degree-d slice has the given witness
+    masks, so that admissible_counts runs on any family of masks."""
+
+    def __init__(self, witness):
+        self.witness = witness
+
+    def footprint_slice(self, d):
+        return list(range(len(self.witness)))
+
+    def footprint_rays(self):
+        return self
+
+    def masks(self, pool):
+        return self.witness, None
+
+
+def test_admissible_counts_match_combinations(seed=16016):
+    # in the third candidate's pass of [0b11, 0b01, 0b01], the AND 0b01 is
+    # updated from the empty subset and from 0b11 before its own turn comes,
+    # where it must still add only the subsets of the first two candidates
+    rng = random.Random(seed)
+    families = [[0b11, 0b01, 0b01], [0b110, 0b011, 0b010, 0b010, 0, 0b111]]
+    for _ in range(400):
+        bits = rng.randrange(1, 7)
+        families.append([rng.randrange(1 << bits) for _ in range(rng.randrange(1, 11))])
+    for witness in families:
+        rmax = rng.randrange(1, len(witness) + 1)
+        expected = [0] + [
+            sum(1 for subset in combinations(witness, r) if reduce(and_, subset))
+            for r in range(1, rmax + 1)
+        ]
+        assert admissible_counts(_WitnessFamily(witness), 1, rmax) == expected, witness
+    assert admissible_counts(_WitnessFamily([0b11, 0b01, 0b01]), 1, 3) == [0, 3, 3, 1]
 
 
 def test_weight_triple_on_torus_subcode():
@@ -446,12 +485,12 @@ def test_enumeration_matches_groebner_degrees(seed=39209):
 
 def test_candidate_counts_are_within_bounds():
     code, sub = torus3_code()
-    profile = FootprintProfile(code.ideal, 1, 3)
+    counts = admissible_counts(code.ideal, 1, 3)
     for r in (1, 2, 3):
-        assert profile.candidate_count(r) <= comb(code.k, r)
+        assert counts[r] <= comb(code.k, r)
         scan = CandidateScan(code, r, sub)
         assert scan.family_count <= gaussian_binomial(code.k, r, code.q)
-    assert [profile.candidate_count(r) for r in (1, 2, 3)] == [3, 3, 1]
+    assert counts == [0, 3, 3, 1]
 
 
 def test_full_space_oracle_agrees(seed=83265):
