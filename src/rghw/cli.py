@@ -9,7 +9,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 from .codes import (
@@ -435,7 +435,8 @@ def _attempt(compute, *args):
 
 def _cells(where: str, result, *reads) -> list[str]:
     """One cell per read of result; when result is a budget overflow, a '!'
-    per read instead and one stderr line: where, and what the budget was."""
+    per read instead and one stderr line: where (the cell, or for `weights`
+    the row and its columns), and what the budget was."""
     if isinstance(result, BudgetExceededError):
         print(f"{where}: {result}", file=sys.stderr)
         return [BUDGET_MARK] * len(reads)
@@ -449,6 +450,8 @@ def cmd_weights(problem: Problem, args) -> tuple[str, int]:
     codes: dict = {}
     profiles: dict = {}
     counts: dict = {}
+    # the columns that one scan fills; Mr shows '-' unless asked for
+    scan_columns = "delta/vasconcelos/" + ("Mr/" if args.with_bruteforce else "") + "cand_poly"
     for query, d in _expand_queries(problem):
         if d not in codes:
             codes[d] = build_code(X, d, problem.order)
@@ -470,10 +473,10 @@ def cmd_weights(problem: Problem, args) -> tuple[str, int]:
         for r in range(r_lo, r_hi + 1):
             started = time.perf_counter()
             where = f"line {query.lineno}, d={d}, r={r}"
-            [fp_val] = _cells(where, profiles[d, r_hi], lambda p: p.value(r))
-            [cand_mono] = _cells(where, counts[d, r_hi], lambda c: c[r])
+            [fp_val] = _cells(f"{where}, fp", profiles[d, r_hi], lambda p: p.value(r))
+            [cand_mono] = _cells(f"{where}, cand_mono", counts[d, r_hi], lambda c: c[r])
             weight, cand_poly = _cells(
-                where, _attempt(CandidateScan, code, r, sub, args.budget),
+                f"{where}, {scan_columns}", _attempt(CandidateScan, code, r, sub, args.budget),
                 lambda scan: scan.min_support, lambda scan: scan.family_count,
             )
             # delta, vasconcelos and M_r are one number for a vanishing ideal
@@ -550,6 +553,7 @@ COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rghw",

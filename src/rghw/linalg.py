@@ -8,6 +8,7 @@ arithmetic as long as every sum of L products of two residues, at most
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -84,12 +85,14 @@ def gaussian_binomial(k: int, r: int, q: int) -> int:
     """Number of r-dimensional subspaces of F_q^k, as an exact integer."""
     if r < 0 or r > k:
         return 0
-    num = 1
-    den = 1
-    for i in range(r):
-        num *= q ** (k - i) - 1
-        den *= q ** (i + 1) - 1
-    quotient, rest = divmod(num, den)
-    if rest:
-        raise RuntimeError(f"Gaussian binomial [{k} {r}]_{q} is not an integer")
-    return quotient
+    return _gaussian_row(k, q)[r]
+
+
+@lru_cache(maxsize=32)
+def _gaussian_row(k: int, q: int) -> tuple[int, ...]:
+    """[k, r]_q for r = 0..k, each from the one before by the exact
+    division [k, r] = [k, r - 1] (q^(k - r + 1) - 1) / (q^r - 1)."""
+    row = [1]
+    for r in range(1, k + 1):
+        row.append(row[-1] * (q ** (k - r + 1) - 1) // (q**r - 1))
+    return tuple(row)

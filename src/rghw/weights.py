@@ -22,25 +22,29 @@ from .linalg import gaussian_binomial
 class FootprintProfile:
     """The largest degree of S modulo the enlarged initial ideal over the
     admissible monomial subsets of each size r <= rmax of the degree-d
-    footprint slice, found by one depth-first branch-and-bound per rank.
+    footprint slice, found by one depth-first branch-and-bound over
+    index-increasing subsets: a node with m candidates chosen scores its
+    kids as (m + 1)-subsets and descends while a larger size can improve.
 
     A subset M is admissible when the AND of its witness masks is nonzero,
     and scores the popcount of the AND of its survival masks, or, when that
     AND is 0, the length of the finite quotient S/(J + M), which is a fixed
     count plus the popcount of the AND of its length masks (see
-    FootprintRays).  Four cuts are exact:
-    - size: fewer compatible candidates remain than the subset still needs;
-    - popcount: survivor masks only shrink, so while no descendant can reach
-      mask 0 a subtree scores at most the need-th largest child popcount;
+    FootprintRays).  Three cuts are exact, each for every size at once:
+    - popcount: survivor masks only shrink, so while no completion can
+      reach mask 0 an (m + j)-subset below a node scores at most the j-th
+      largest kid popcount, and the node is cut when that is at most the
+      best of size m + j for every j >= 2; a kid whose mask cannot reach 0
+      is not entered when its popcount is at most the least best past it;
     - zero mask: once the mask is 0 the quotient is finite and only shrinks,
-      so a node whose length is at most the best found is cut;
+      so a kid whose length is at most that least best is not entered;
     - dominance: a dominates b when the survival mask of a contains that of
       b.  Swapping b for a keeps a survivor mask no smaller, and a nonzero
       survivor mask makes a subset admissible (below), so where no
-      completion can reach mask 0, and at leaves with a nonzero mask, b is
+      completion can reach mask 0, and at kids with a nonzero mask, b is
       cut whenever a dominator a earlier in the pool is left out.  The best
-      nonzero-mask subset with the least index sum is never cut, and
-      zero-mask subsets are never dominance-cut.
+      nonzero-mask subset of each size with the least index sum is never
+      cut, and zero-mask subsets are never dominance-cut.
 
     A nonzero survivor mask implies admissibility.  If every member of M
     spares the ray along t_i with base cell m', each exceeds m' away from
@@ -52,8 +56,8 @@ class FootprintProfile:
     divides w t_j.  So w m lies in J for every m in M, and the witness bit
     of w survives the AND over M.
 
-    `counts[r]` is the number of nodes rank r's search expanded; the nodes
-    of all ranks count against `budget`, past which BudgetExceededError is
+    `counts[m]` is the number of nodes expanded with m candidates chosen;
+    every node counts against `budget`, past which BudgetExceededError is
     raised.  The number of admissible subsets is `admissible_counts`."""
 
     def __init__(
@@ -99,59 +103,54 @@ class FootprintProfile:
         else:
             below, alive = engine.length_masks(pool, d)
 
-        chosen = 0  # bit i set for each pool index on the current path
         nodes = 0
-        best = -1
+        best = [-1] * (rmax + 1)
 
-        def search(start, wmask, smask, amask, need):
-            nonlocal chosen, nodes, best
+        def search(start, size, wmask, smask, amask, chosen):
+            # chosen: bit i set for each pool index on the current path
+            nonlocal nodes
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(None, budget)
+            self.counts[size] += 1
             safe = smask & tail_kill[start] != 0
             # a dominator left out below start stays out of this subtree
             out = ~chosen & ((1 << start) - 1) if safe else 0
             kids = []
+            score = best[size + 1]
             for i in range(start, len(pool)):
                 w = wmask & witness[i]
                 if w and not dominators[i] & out:
                     s = smask & survival[i]
-                    kids.append((-s.bit_count(), i, w, s))
-            if len(kids) < need:
-                return
-            if need == 1:
-                for neg, i, _, s in kids:
                     if not s:
-                        best = max(best, below + (amask & alive[i]).bit_count())
+                        score = max(score, below + (amask & alive[i]).bit_count())
                     elif not dominators[i] & ~chosen:
-                        best = max(best, -neg)
-                return
-            # a child must leave need - 1 compatible candidates after it
-            last = kids[-need][1]
+                        score = max(score, s.bit_count())
+                    kids.append((-s.bit_count(), i, w, s))
+            best[size + 1] = score
             kids.sort()  # largest popcount first
-            if safe and -kids[need - 1][0] <= best:
+            # a subset of size + j below this node scores at most the j-th
+            # largest kid popcount while no completion reaches mask 0
+            if size + 2 > rmax or safe and all(
+                -kids[j - 1][0] <= best[size + j]
+                for j in range(2, min(len(kids), rmax - size) + 1)
+            ):
                 return
+            floor = min(best[size + 2 :])  # what a deeper subset must beat
             for neg, i, w, s in kids:
-                if i > last or safe and dominators[i] & ~chosen:
+                if safe and dominators[i] & ~chosen:
                     continue
                 a = amask & alive[i]
                 if s:
-                    keep = -neg > best or not s & tail_kill[i + 1]
+                    keep = -neg > floor or not s & tail_kill[i + 1]
                 else:
-                    keep = below + a.bit_count() > best
+                    keep = below + a.bit_count() > floor
                 if keep:
-                    chosen |= 1 << i
-                    search(i + 1, w, s, a, need - 1)
-                    chosen &= ~(1 << i)
+                    search(i + 1, size + 1, w, s, a, chosen | 1 << i)
+                    floor = min(best[size + 2 :])
 
-        for r in range(1, rmax + 1):
-            before, best = nodes, -1
-            search(0, -1, full, -1, r)
-            self.counts[r] = nodes - before
-            if best < 0:
-                # no admissible r-subset, hence none larger either
-                break
-            self.best[r] = best
+        search(0, 0, -1, full, -1, 0)
+        self.best = [None if b < 0 else b for b in best]
 
     def value(self, r: int) -> int:
         """fp at rank r: degree drop against the best admissible subset, or

@@ -237,10 +237,13 @@ def test_budget_exhaustion_marks_and_exit_3(capsys, tmp_path):
     lines = out.rstrip("\n").split("\n")
     assert lines[1].split(",")[5] == "!"  # delta for r = 1 needs 31 > 10
     assert lines[3].split(",")[5] == "16"  # the single r = 3 subspace still fits
-    # one stderr line per marked row, naming the [query] line, d and r
+    # one stderr line per marked row, naming the [query] line, d, r and the
+    # columns the scan fills
     assert err == (
-        "line 5, d=1, r=1: enumeration needs 31 candidates, budget is 10\n"
-        "line 5, d=1, r=2: enumeration needs 31 candidates, budget is 10\n"
+        "line 5, d=1, r=1, delta/vasconcelos/cand_poly: "
+        "enumeration needs 31 candidates, budget is 10\n"
+        "line 5, d=1, r=2, delta/vasconcelos/cand_poly: "
+        "enumeration needs 31 candidates, budget is 10\n"
     )
 
 
@@ -269,8 +272,10 @@ def test_budget_weighs_the_subspaces_a_subcode_leaves(capsys, tmp_path):
     code, out, err = run(capsys, argv + ["--budget", "10"])
     assert code == 3
     assert err == (
-        "line 5, d=1, r=1: enumeration needs 30 candidates, budget is 10\n"
-        "line 5, d=1, r=2: enumeration needs 25 candidates, budget is 10\n"
+        "line 5, d=1, r=1, delta/vasconcelos/Mr/cand_poly: "
+        "enumeration needs 30 candidates, budget is 10\n"
+        "line 5, d=1, r=2, delta/vasconcelos/Mr/cand_poly: "
+        "enumeration needs 25 candidates, budget is 10\n"
     )
     # a budget of exactly the visited count finishes both rows, as the
     # default budget does
@@ -324,12 +329,12 @@ def test_footprint_walk_budget_marks_and_exit_3(capsys, tmp_path):
         "function = fp\ndmax = 2\n"
     )
     code, out, err = run(capsys, ["matrix", "--config", str(tmp_path / "t.cfg"),
-                                  "--format", "csv", "--budget", "10"])
+                                  "--format", "csv", "--budget", "8"])
     assert code == 3
-    # d = 1 visits 7 admissible subsets; d = 2 passes 10 and marks its 6 cells
+    # d = 1 expands 3 nodes; d = 2 needs 9, passes 8 and marks its 6 cells
     assert out == "d,r1,r2,r3,r4,r5,r6\n1,12,15,16,-,-,-\n2,!,!,!,!,!,!\n"
     assert err.splitlines() == [
-        f"line 5, d=2, r={r}: enumeration passed the budget of 10 candidates"
+        f"line 5, d=2, r={r}: enumeration passed the budget of 8 candidates"
         for r in range(1, 7)
     ]
     (tmp_path / "w.cfg").write_text(
@@ -338,16 +343,18 @@ def test_footprint_walk_budget_marks_and_exit_3(capsys, tmp_path):
     code, out, err = run(capsys, ["weights", "--config", str(tmp_path / "w.cfg"),
                                   "--format", "csv", "--budget", "10"])
     assert code == 3
-    # the profile needs 5 nodes; the count needs 15 updates, so only
-    # cand_mono (and the scan's cells) show '!'
+    # the profile needs 4 nodes; the count needs 15 updates, so only
+    # cand_mono (and the scan's cells) show '!', each line naming its columns
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert [cells[4] for cells in rows] == ["8", "11"]
     assert all(cells[5] == cells[10] == "!" for cells in rows)
     assert err.splitlines() == [
-        "line 4, d=2, r=1: enumeration passed the budget of 10 candidates",
-        "line 4, d=2, r=1: enumeration needs 3906 candidates, budget is 10",
-        "line 4, d=2, r=2: enumeration passed the budget of 10 candidates",
-        "line 4, d=2, r=2: enumeration needs 508431 candidates, budget is 10",
+        "line 4, d=2, r=1, cand_mono: enumeration passed the budget of 10 candidates",
+        "line 4, d=2, r=1, delta/vasconcelos/cand_poly: "
+        "enumeration needs 3906 candidates, budget is 10",
+        "line 4, d=2, r=2, cand_mono: enumeration passed the budget of 10 candidates",
+        "line 4, d=2, r=2, delta/vasconcelos/cand_poly: "
+        "enumeration needs 508431 candidates, budget is 10",
     ]
 
 

@@ -78,6 +78,28 @@ def test_gaussian_binomial_values():
     assert gaussian_binomial(2, 3, 5) == 0
 
 
+def _product_formula(k, r, q):
+    """[k, r]_q = prod_{i < r} (q^(k-i) - 1) / (q^(i+1) - 1), formed whole."""
+    if not 0 <= r <= k:
+        return 0
+    num = den = 1
+    for i in range(r):
+        num *= q ** (k - i) - 1
+        den *= q ** (i + 1) - 1
+    assert num % den == 0
+    return num // den
+
+
+def test_gaussian_binomial_matches_the_product_formula():
+    for q in (2, 3, 5, 7, 11):
+        for k in range(25):
+            for r in range(-1, k + 2):
+                assert gaussian_binomial(k, r, q) == _product_formula(k, r, q), (k, r, q)
+    # a row with thousands of digits (the torus of P^3/F_7 at d = 9 has k = 216)
+    for r in (1, 44, 108, 172, 216):
+        assert gaussian_binomial(216, r, 7) == _product_formula(216, r, 7)
+
+
 @pytest.mark.parametrize("k,r,q", [(4, 2, 2), (4, 2, 3), (5, 3, 2), (3, 1, 5), (4, 4, 3)])
 def test_subspace_enumeration_complete_and_distinct(k, r, q):
     count = 0

@@ -225,7 +225,7 @@ def _reaches_zero_mask(ideal, d):
 
 @pytest.mark.parametrize("family", ["points", "monomial", "torus"])
 def test_branch_and_bound_matches_subset_walk(family, seed=61907):
-    # the per-rank branch-and-bound cuts subtrees; the walk visits every
+    # the branch-and-bound cuts subtrees; the oracle walk visits every
     # admissible subset, so best values and admissible counts must agree
     rng = random.Random(seed)
     if family == "points":
@@ -266,15 +266,44 @@ def test_zero_mask_heavy_slice_keeps_its_row():
     ]
 
 
+# fp rows of two tori whose top slices lie past the reach of the subset-walk
+# oracle, and the nodes the walk expands at the top degree: a wrong cut
+# changes a row, a weakened one the node count
+TORUS_FP_ROWS = {
+    (5, 4, 948): [
+        [48, 60, 63, 64],
+        [32, 44, 47, 48, 56, 59, 60, 62, 63, 64],
+        [16, 28, 31, 32, 40, 43, 44, 46, 47, 48, 52, 55, 56, 58, 59, 60, 61, 62, 63, 64],
+    ],
+    (7, 3, 259): [
+        [30, 35, 36],
+        [24, 29, 30, 34, 35, 36],
+        [18, 23, 24, 28, 29, 30, 33, 34, 35, 36],
+        [12, 17, 18, 22, 23, 24, 27, 28, 29, 30, 32, 33, 34, 35, 36],
+        [6, 11, 12, 16, 17, 18, 21, 22, 23, 24, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36],
+    ],
+}
+
+
+@pytest.mark.parametrize("q, s, nodes", sorted(TORUS_FP_ROWS))
+def test_torus_fp_rows_and_walk_size(q, s, nodes):
+    ideal = projective_torus(q, s).vanishing_ideal()
+    rows = TORUS_FP_ROWS[q, s, nodes]
+    for d, row in enumerate(rows, start=1):
+        profile = FootprintProfile(ideal, d)
+        assert [profile.value(r) for r in range(1, profile.rmax + 1)] == row, d
+    assert sum(profile.counts) == nodes
+
+
 def test_profile_budget_counts_nodes_and_subsets_separately():
-    # d = 2 on the torus of P^2/F_5: the search expands 22 nodes while the
+    # d = 2 on the torus of P^2/F_5: the walk expands 9 nodes while the
     # count of the 31 admissible subsets makes 20 updates; each is held to
     # the budget on its own
     ideal = projective_torus(5, 3).vanishing_ideal()
-    profile = FootprintProfile(ideal, 2, 6, budget=22)
-    assert sum(profile.counts) == 22
+    profile = FootprintProfile(ideal, 2, 6, budget=9)
+    assert sum(profile.counts) == 9
     with pytest.raises(BudgetExceededError):
-        FootprintProfile(ideal, 2, 6, budget=21)
+        FootprintProfile(ideal, 2, 6, budget=8)
     with pytest.raises(BudgetExceededError):
         admissible_counts(ideal, 2, 6, budget=19)
     assert admissible_counts(ideal, 2, 6, budget=20) == [0, 5, 10, 10, 5, 1, 0]
