@@ -5,7 +5,6 @@ from .codes import (
     BudgetExceededError,
     DependentSubcodeError,
     EvaluationCode,
-    SubcodeSpec,
     build_code,
     singleton_bound,
     validate_subcode,
@@ -74,7 +73,6 @@ __all__ = [
     "Polynomial",
     "PrimeField",
     "ProjectivePointSet",
-    "SubcodeSpec",
     "UnsupportedDimensionError",
     "affine_cartesian",
     "all_projective_points",

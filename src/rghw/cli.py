@@ -31,7 +31,7 @@ from .points import (
     zero_set,
 )
 from .polyring import ORDERS, PolyParseError, PolyRing
-from .weights import CandidateScan, FootprintProfile, admissible_counts
+from .weights import CandidateScan, FootprintProfile, admissible_counts, rgmdf
 
 WEIGHTS_HEADER = (
     "d", "r", "k1", "G", "fp", "delta", "vasconcelos", "Mr",
@@ -253,7 +253,11 @@ class Problem:
         if self.given_ideal is None:
             return self.points
         q, s = self.config.q, self.config.s
-        rows = zero_set(all_projective_points(q, s), self.given_ideal.gens)
+        try:
+            space = all_projective_points(q, s)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        rows = zero_set(space, self.given_ideal.gens)
         return ProjectivePointSet(self.ring.field, rows) if len(rows) else None
 
     def point_ideal(self) -> Ideal:
@@ -283,14 +287,14 @@ def load_problem(config: ProblemConfig, order, config_dir: Path) -> Problem:
         require_exact_int64(config.q)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if config.source == "torus":
-        if config.s < 2:
-            raise ConfigError("torus needs s >= 2")
-        X = projective_torus(config.q, config.s)
-        return Problem(config, order, None, PolyRing(fieldq, config.s), X)
-    if config.source == "cartesian":
+    if config.source == "torus" and config.s < 2:
+        raise ConfigError("torus needs s >= 2")
+    if config.source in ("torus", "cartesian"):
         try:
-            X = affine_cartesian(config.q, config.factors)
+            if config.source == "torus":
+                X = projective_torus(config.q, config.s)
+            else:
+                X = affine_cartesian(config.q, config.factors)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return Problem(config, order, None, PolyRing(fieldq, X.s), X)
@@ -457,10 +461,10 @@ def cmd_weights(problem: Problem, args) -> tuple[str, int]:
             codes[d] = build_code(X, d, problem.order)
         code = codes[d]
         sub = _subcode_for(code, query.g_strings)
-        rmax = code.k - sub.k1
+        rmax = code.k - len(sub)
         if rmax < 1:
             raise ConfigError(
-                f"line {query.lineno}: k1 = {sub.k1} leaves no valid rank at d = {d}"
+                f"line {query.lineno}: k1 = {len(sub)} leaves no valid rank at d = {d}"
             )
         r_lo, r_hi = query.r_range or (1, rmax)
         if r_hi > rmax:
@@ -476,7 +480,8 @@ def cmd_weights(problem: Problem, args) -> tuple[str, int]:
             [fp_val] = _cells(f"{where}, fp", profiles[d, r_hi], lambda p: p.value(r))
             [cand_mono] = _cells(f"{where}, cand_mono", counts[d, r_hi], lambda c: c[r])
             weight, cand_poly = _cells(
-                f"{where}, {scan_columns}", _attempt(CandidateScan, code, r, sub, args.budget),
+                f"{where}, {scan_columns}",
+                _attempt(CandidateScan, code.generator_rows, code.q, r, sub, args.budget),
                 lambda scan: scan.min_support, lambda scan: scan.family_count,
             )
             # delta, vasconcelos and M_r are one number for a vanishing ideal
@@ -484,7 +489,7 @@ def cmd_weights(problem: Problem, args) -> tuple[str, int]:
             ms = str(int((time.perf_counter() - started) * 1000))
             rows.append(
                 [
-                    str(d), str(r), str(sub.k1), ";".join(query.g_strings),
+                    str(d), str(r), str(len(sub)), ";".join(query.g_strings),
                     fp_val, weight, weight, mr,
                     str(singleton_bound(code, sub, r)),
                     cand_poly, cand_mono, ms,
@@ -521,7 +526,7 @@ def cmd_matrix(problem: Problem, args) -> tuple[str, int]:
         else:
             code = build_code(X, d, problem.order)
             sub = _subcode_for(code, config.g_strings)
-            per_d.append((d, code.k - sub.k1, code, sub))
+            per_d.append((d, code.k - len(sub), code, sub))
     rmax = max(entry[1] for entry in per_d)
     if rmax < 1:
         raise ConfigError("k1 leaves no valid rank anywhere in the degree range")
@@ -538,8 +543,7 @@ def cmd_matrix(problem: Problem, args) -> tuple[str, int]:
             elif function == "fp":
                 cells += _cells(where, profile, lambda p: p.value(r))
             else:
-                scan = _attempt(CandidateScan, code, r, sub, args.budget)
-                cells += _cells(where, scan, lambda found: found.min_support)
+                cells += _cells(where, _attempt(rgmdf, code, r, sub, args.budget), lambda m: m)
         rows.append(cells)
     return _budgeted_output(header, rows, args.format)
 

@@ -1,30 +1,14 @@
 """Evaluation codes on projective point sets: generator matrices indexed by
-standard monomials, subcode validation, and the Singleton bound."""
+standard monomials, subcodes as (k1, k) reduced echelon coefficient rows
+over them, and the Singleton bound."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .linalg import kernel_basis, matrix_rank, require_exact_int64, rref
+from .linalg import count_text, kernel_basis, matrix_rank, require_exact_int64, rref
 from .points import ProjectivePointSet, evaluation_matrix
 from .polyring import GREVLEX, MonomialOrder, Polynomial
-
-
-# str() refuses ints of more than 4300 digits (Python's default
-# int_max_str_digits)
-_PRINTABLE = 10**4300
-
-
-def _count_text(n: int) -> str:
-    """n in decimal, or past 4300 digits the tightest 'more than 10^e'."""
-    if n < _PRINTABLE:
-        return str(n)
-    e = int(n.bit_length() * math.log10(2))
-    while 10**e >= n:
-        e -= 1
-    return f"more than 10^{e}"
 
 
 class BudgetExceededError(RuntimeError):
@@ -35,7 +19,7 @@ class BudgetExceededError(RuntimeError):
         if needed is None:
             message = f"enumeration passed the budget of {budget} candidates"
         else:
-            message = f"enumeration needs {_count_text(needed)} candidates, budget is {budget}"
+            message = f"enumeration needs {count_text(needed)} candidates, budget is {budget}"
         super().__init__(message)
         self.needed = needed
         self.budget = budget
@@ -108,33 +92,15 @@ def build_code(X: ProjectivePointSet, d: int, order: MonomialOrder = GREVLEX) ->
     return EvaluationCode(X, d, order)
 
 
-class SubcodeSpec:
-    """A validated independent generator list for the subcode: the original
-    polynomials and, in reduced echelon form, their coefficient rows over
-    the standard monomials, whose distinct pivots are the leading monomials
-    of the echelon representatives."""
-
-    def __init__(self, code: EvaluationCode, polynomials, normalized_coeffs: np.ndarray):
-        self.code = code
-        self.polynomials = tuple(polynomials)
-        self.coeff_rows = normalized_coeffs
-        self.k1 = normalized_coeffs.shape[0]
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            self.code.coefficients_to_polynomial(row).format(self.code.order)
-            for row in self.coeff_rows
-        )
-        return f"SubcodeSpec(k1={self.k1}, [{inner}])"
-
-
-def validate_subcode(code: EvaluationCode, polynomials) -> SubcodeSpec:
-    """Checks the generators are homogeneous of the code degree with
-    independent evaluations, and produces echelon representatives."""
+def validate_subcode(code: EvaluationCode, polynomials) -> np.ndarray:
+    """The reduced echelon form of the generators' coefficient rows over the
+    standard monomials, a (k1, k) array whose pivots are the leading
+    monomials of the echelon representatives.  Refuses generators not
+    homogeneous of the code degree, and dependent ones (DependentSubcodeError)."""
     polys = list(polynomials)
     q = code.q
     if not polys:
-        return SubcodeSpec(code, (), np.zeros((0, code.k), dtype=np.int64))
+        return np.zeros((0, code.k), dtype=np.int64)
     coeff_rows = []
     for p in polys:
         if not isinstance(p, Polynomial):
@@ -149,11 +115,11 @@ def validate_subcode(code: EvaluationCode, polynomials) -> SubcodeSpec:
     if len(pivots) < len(polys):
         witness = kernel_basis(A.T, q)[0]
         raise DependentSubcodeError(witness.tolist())
-    return SubcodeSpec(code, polys, reduced)
+    return reduced
 
 
-def singleton_bound(code: EvaluationCode, sub: SubcodeSpec, r: int) -> int:
+def singleton_bound(code: EvaluationCode, sub: np.ndarray, r: int) -> int:
     """n - k + r, an upper bound for the r-th relative weight."""
-    if not 1 <= r <= code.k - sub.k1:
-        raise ValueError(f"rank r={r} outside [1, {code.k - sub.k1}]")
+    if not 1 <= r <= code.k - len(sub):
+        raise ValueError(f"rank r={r} outside [1, {code.k - len(sub)}]")
     return code.n - code.k + r

@@ -9,9 +9,24 @@ arithmetic as long as every sum of L products of two residues, at most
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, log10
 
 import numpy as np
+
+
+# str() refuses ints of more than 4300 digits (Python's default
+# int_max_str_digits)
+_PRINTABLE = 10**4300
+
+
+def count_text(n: int) -> str:
+    """n in decimal, or past 4300 digits the tightest 'more than 10^e'."""
+    if n < _PRINTABLE:
+        return str(n)
+    e = int(n.bit_length() * log10(2))
+    while 10**e >= n:
+        e -= 1
+    return f"more than 10^{e}"
 
 
 class ModulusTooLargeError(ValueError):

@@ -3,20 +3,16 @@ from monomial subsets of the initial ideal, and the relative generalized
 Hamming weight M_r by one scan over the subspaces independent of the
 subcode.  For the vanishing ideal of X, which every code is built on, the
 relative generalized minimum distance function and the Vasconcelos function
-both equal M_r, so the scan serves all three."""
+both equal M_r, so the scan serves all three.  The scan reads a plain
+generator matrix, so any linear code, such as a dual, goes through it too."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .codes import (
-    BudgetExceededError,
-    EvaluationCode,
-    SubcodeSpec,
-    validate_subcode,
-)
+from .codes import BudgetExceededError, EvaluationCode
 from .groebner import Ideal
-from .linalg import gaussian_binomial
+from .linalg import gaussian_binomial, matrix_rank, require_exact_int64, rref
 
 
 class FootprintProfile:
@@ -211,7 +207,7 @@ class CandidateScan:
     (`family_count`, the admissible ones), and the largest common zero set
     (`max_vanishing`).
 
-    With C_1 in reduced echelon form on pivot set P, each such D is the row
+    With P the pivots of C_1's reduced echelon form, each such D is the row
     space of E + L C_1 for exactly one reduced echelon basis E supported off
     P and one L in F_q^(r x k1), so the pass enumerates the pairs (E, L) and
     filters nothing: there are q^(r k1) [k - k1, r]_q of them, and that
@@ -230,31 +226,34 @@ class CandidateScan:
     the last pivot, are held while their patterns are visited and combined
     in blocks (`_and_blocks`) that drop masks already empty.
 
-    `sub` defaults to the zero subcode; r must lie in [1, k - k1], and `sub`
-    must have been validated against `code`."""
+    G, a (k, n) array of residues mod the prime q with independent rows,
+    generates any linear code; `sub`, independent (k1, k) coefficient rows
+    over G's rows as `validate_subcode` gives them, defaults to the zero
+    subcode, and r must lie in [1, k - k1].  The other checks on the inputs
+    run past the budget gate, so a scan refused for its size costs no rref."""
 
     def __init__(
-        self,
-        code: EvaluationCode,
-        r: int,
-        sub: SubcodeSpec | None = None,
-        budget: int = 10**7,
+        self, G: np.ndarray, q: int, r: int, sub: np.ndarray | None = None, budget: int = 10**7
     ):
-        if sub is None:
-            sub = validate_subcode(code, [])
-        if sub.code is not code:
-            raise ValueError("subcode was validated against a different code")
-        k, n, q, k1 = code.k, code.n, code.q, sub.k1
+        k, n = G.shape
+        sub = np.zeros((0, k), dtype=np.int64) if sub is None else sub
+        k1 = len(sub)
         if not 1 <= r <= k - k1:
             raise ValueError(f"rank r={r} outside [1, {k - k1}]")
         total = q ** (r * k1) * gaussian_binomial(k - k1, r, q)
         if total > budget:
             raise BudgetExceededError(total, budget)
-        pivots = {int(np.argmax(row != 0)) for row in sub.coeff_rows}
-        rows = code.generator_rows
-        off = rows[[c for c in range(k) if c not in pivots]]
+        require_exact_int64(q, k)
+        if matrix_rank(G, q) < k:
+            raise ValueError(f"the {k} rows of G are dependent")
+        if sub.shape[1:] != (k,):
+            raise ValueError(f"sub must have shape (k1, {k}), got {sub.shape}")
+        pivots = rref(sub, q)[1] if k1 else []
+        if len(pivots) < k1:
+            raise ValueError(f"the {k1} rows of sub are dependent")
+        off = G[[c for c in range(k) if c not in pivots]]
         words = -(-n // 64)
-        sub_evals = np.matmul(sub.coeff_rows, rows) % q
+        sub_evals = np.matmul(sub, G) % q
         width = k - k1
 
         def family(p, later):
@@ -365,9 +364,9 @@ def _digits(lo: int, hi: int, width: int, q: int) -> np.ndarray:
 
 
 def rgmdf(
-    code: EvaluationCode, r: int, sub: SubcodeSpec | None = None, budget: int = 10**7
+    code: EvaluationCode, r: int, sub: np.ndarray | None = None, budget: int = 10**7
 ) -> int:
     """M_r(C, C_1): the smallest support n - |V_X(D)| over the r-dimensional
     subcodes D of C meeting C_1 only in zero.  n = deg(S/I_X), so this is
     also the degree-drop and the colon-degree weight of I_X."""
-    return CandidateScan(code, r, sub, budget).min_support
+    return CandidateScan(code.generator_rows, code.q, r, sub, budget).min_support

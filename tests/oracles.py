@@ -409,15 +409,15 @@ def rghw_by_support_scan(code, sub, r):
     not from the scan's product of coefficient rows and generator rows."""
     k, n, q = code.k, code.n, code.q
     gen = code.generator_rows
-    if sub.k1:
-        polys = [code.coefficients_to_polynomial(row) for row in sub.coeff_rows]
+    if len(sub):
+        polys = [code.coefficients_to_polynomial(row) for row in sub]
         sub_rref, sub_pivots = rref(evaluation_matrix(code.X, polys), q)
         combos = projective_reps(r, q)
     best = None
     admissible = feasible_count = 0
     for batch in iter_subspace_batches(k, r, q):
         Z = np.matmul(batch, gen) % q
-        if sub.k1:
+        if len(sub):
             reduced = _reduce_rows_mod_subcode(Z, sub_rref, sub_pivots, q)
             mixed = np.einsum("ck,bkn->bcn", combos, reduced) % q
             feasible = ~((mixed == 0).all(axis=2).any(axis=1))
@@ -453,14 +453,14 @@ def full_space_rgmdf(code, r, sub=None, budget=10**7):
         nf_rows[i] = code.polynomial_to_coefficients(ring.from_terms({m: 1}))
     if sub is None:
         sub = validate_subcode(code, [])
-    combos = projective_reps(r + sub.k1, q)
+    combos = projective_reps(r + len(sub), q)
     degree = code.ideal.degree()
     best = None
     for batch in iter_subspace_batches(N, r, q, max_batch=1 << 12):
         coeff = np.matmul(batch, nf_rows) % q
-        if sub.k1:
+        if len(sub):
             stacked = np.concatenate(
-                [coeff, np.broadcast_to(sub.coeff_rows, (batch.shape[0],) + sub.coeff_rows.shape)],
+                [coeff, np.broadcast_to(sub, (batch.shape[0],) + sub.shape)],
                 axis=1,
             )
         else:

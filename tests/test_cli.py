@@ -521,6 +521,25 @@ def test_modulus_beyond_int64_is_config_error(capsys, tmp_path):
     assert "q = 1000000000000000003" in err and "q <= 3037000500" in err
 
 
+CARTESIAN_FACTORS = "; ".join(["0 1 2 3 4 5 6 7 8 9 10"] * 6)
+
+
+@pytest.mark.parametrize("main_keys, count", [
+    ("q = 5\ns = 40\nsource = torus", str(4**39)),
+    ("q = 5\ns = 7200\nsource = torus", "more than 10^4334"),
+    (f"q = 11\nsource = cartesian\nfactors = {CARTESIAN_FACTORS}", str(11**6)),
+    ("q = 5\ns = 16\nsource = ideal\ngenerators = t1", str((5**16 - 1) // 4)),
+], ids=["torus", "torus-past-4300-digits", "cartesian", "ideal"])
+def test_point_set_too_large_to_enumerate_is_config_error(capsys, tmp_path, main_keys, count):
+    (tmp_path / "big.cfg").write_text(main_keys + "\n[query]\nd = 1\n")
+    code, out, err = run(capsys, ["weights", "--config", str(tmp_path / "big.cfg")])
+    assert code == 2 and out == ""
+    assert err == (
+        f"config error: the point set would have {count} points; "
+        "at most 1048576 can be enumerated\n"
+    )
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -26,7 +26,7 @@ from oracles import (
 from rghw.codes import BudgetExceededError, build_code, validate_subcode
 from rghw.field import PrimeField
 from rghw.groebner import Ideal
-from rghw.linalg import ModulusTooLargeError, gaussian_binomial
+from rghw.linalg import ModulusTooLargeError, gaussian_binomial, kernel_basis
 from rghw.monideal import FootprintRays, MonomialIdeal, monomial_quotient_degree
 from rghw.points import (
     ProjectivePointSet,
@@ -376,7 +376,7 @@ def test_lifted_scan_matches_support_oracle(q, k1):
     ranks = [r for r in range(1, k - k1 + 1) if gaussian_binomial(k, r, q) <= 2 * 10**5]
     assert ranks
     for r in ranks:
-        scan = CandidateScan(code, r, sub)
+        scan = CandidateScan(code.generator_rows, code.q, r, sub)
         assert (scan.min_support, scan.family_count, scan.feasible_count) == \
             rghw_by_support_scan(code, sub, r), (r, k)
         assert scan.feasible_count == q ** (r * k1) * gaussian_binomial(k - k1, r, q)
@@ -394,7 +394,7 @@ def test_scan_on_large_fields_matches_support_oracle():
     line = build_code(ProjectivePointSet(PrimeField(65537), [(1, 0), (1, 5), (0, 1)]), 1)
     for code, r in ((code, 7), (line, 1)):
         sub = validate_subcode(code, [])
-        scan = CandidateScan(code, r, sub)
+        scan = CandidateScan(code.generator_rows, code.q, r, sub)
         assert (scan.min_support, scan.family_count, scan.feasible_count) == \
             rghw_by_support_scan(code, sub, r)
     assert scan.feasible_count == 65538 and scan.min_support == 2
@@ -408,7 +408,7 @@ def test_scan_masks_span_several_words():
     for k1 in (0, 1):
         sub = random_subcode(rng, code, k1)
         for r in (1, 2):
-            scan = CandidateScan(code, r, sub)
+            scan = CandidateScan(code.generator_rows, code.q, r, sub)
             assert (scan.min_support, scan.family_count, scan.feasible_count) == \
                 rghw_by_support_scan(code, sub, r), (k1, r)
 
@@ -421,7 +421,7 @@ def test_scan_streams_a_row_family_past_one_batch():
     assert code.k == 10 and 3 ** 9 > weights._SCAN_BATCH
     for k1 in (0, 1):
         sub = random_subcode(rng, code, k1)
-        scan = CandidateScan(code, 1, sub)
+        scan = CandidateScan(code.generator_rows, code.q, 1, sub)
         assert (scan.min_support, scan.family_count, scan.feasible_count) == \
             rghw_by_support_scan(code, sub, 1), k1
 
@@ -437,7 +437,7 @@ def test_scan_chunks_the_product_of_later_rows(monkeypatch, batch):
     sub = random_subcode(rng, code, 1)
     expected = rghw_by_support_scan(code, sub, 3)
     monkeypatch.setattr(weights, "_SCAN_BATCH", batch)
-    scan = CandidateScan(code, 3, sub)
+    scan = CandidateScan(code.generator_rows, code.q, 3, sub)
     assert (scan.min_support, scan.family_count, scan.feasible_count) == expected
 
 
@@ -449,16 +449,17 @@ def test_scan_budget_weighs_the_visited_count():
         visited = 3 ** r * gaussian_binomial(code.k - 1, r, 3)
         assert visited < gaussian_binomial(code.k, r, 3)
         with pytest.raises(BudgetExceededError) as err:
-            CandidateScan(code, r, sub, budget=visited - 1)
+            CandidateScan(code.generator_rows, code.q, r, sub, budget=visited - 1)
         assert err.value.needed == visited
-        assert CandidateScan(code, r, sub, budget=visited).feasible_count == visited
+        scan = CandidateScan(code.generator_rows, code.q, r, sub, budget=visited)
+        assert scan.feasible_count == visited
 
 
 def test_empty_family_falls_back_to_degree():
     # no admissible subspace of rank 3 on this torus: every rank-3 space of
     # linear forms cuts the torus down to nothing
     code = build_code(projective_torus(5, 3), 1)
-    scan = CandidateScan(code, 3)
+    scan = CandidateScan(code.generator_rows, code.q, 3)
     assert scan.family_count == scan.max_vanishing == 0
     assert rgmdf(code, 3) == code.ideal.degree() == 16
     assert FootprintProfile(code.ideal, 1, 3).value(3) == 16
@@ -517,7 +518,7 @@ def test_candidate_counts_are_within_bounds():
     counts = admissible_counts(code.ideal, 1, 3)
     for r in (1, 2, 3):
         assert counts[r] <= comb(code.k, r)
-        scan = CandidateScan(code, r, sub)
+        scan = CandidateScan(code.generator_rows, code.q, r, sub)
         assert scan.family_count <= gaussian_binomial(code.k, r, code.q)
     assert counts == [0, 3, 3, 1]
 
@@ -538,13 +539,52 @@ def test_full_space_oracle_agrees(seed=83265):
 
 def test_query_validation():
     code, sub = torus3_code()
+    G, q = code.generator_rows, code.q
     with pytest.raises(ValueError, match="outside"):
-        CandidateScan(code, 0, sub)
+        CandidateScan(G, q, 0, sub)
     with pytest.raises(ValueError, match="outside"):
         rgmdf(code, 4, sub)  # k - k1 = 3
+    # a subcode validated against another code has the wrong width
     other = build_code(projective_torus(3, 4), 2)
-    with pytest.raises(ValueError, match="different code"):
-        CandidateScan(other, 1, sub)
+    with pytest.raises(ValueError, match=r"shape \(k1, 7\), got \(1, 4\)"):
+        CandidateScan(other.generator_rows, q, 1, sub)
+    dependent = np.vstack([G, G[:1]])
+    with pytest.raises(ValueError, match="rows of G are dependent"):
+        CandidateScan(dependent, q, 1)
+    with pytest.raises(ValueError, match="rows of sub are dependent"):
+        CandidateScan(G, q, 1, np.vstack([sub, 2 * sub % q]))
+    # the inputs are checked past the budget gate
+    with pytest.raises(BudgetExceededError):
+        CandidateScan(dependent, q, 1, budget=5)
+
+
+@pytest.mark.parametrize("q, s", [(3, 3), (5, 3), (3, 4), (2, 5)])
+def test_simplex_code_weight_hierarchy(q, s):
+    # the columns of G are the points of P^(s-1)(F_q); an r-dimensional
+    # subcode vanishes on the points of a codimension-r subspace, so
+    # d_r = (q^s - q^(s-r)) / (q - 1)
+    G = all_projective_points(q, s).coords.T
+    for r in range(1, s + 1):
+        assert CandidateScan(G, q, r).min_support == (q**s - q ** (s - r)) // (q - 1)
+
+
+def test_wei_duality_on_random_codes(seed=1991):
+    # Wei (IEEE TIT 1991): {d_r(C) : r <= k} and {n + 1 - d_r(C^perp) :
+    # r <= n - k} partition {1, ..., n}
+    rng = random.Random(seed)
+    checked = 0
+    while checked < 30:
+        q, s = rng.choice([(2, 4), (3, 3)])
+        X = random_point_set(rng, q, s, rng.randrange(3, 11))
+        code = build_code(X, rng.choice([1, 2]))
+        G, n, k = code.generator_rows, code.n, code.k
+        if max(gaussian_binomial(k, k // 2, q), gaussian_binomial(n - k, (n - k) // 2, q)) > 10**5:
+            continue
+        H = kernel_basis(G, q)
+        primal = [CandidateScan(G, q, r).min_support for r in range(1, k + 1)]
+        dual = [n + 1 - CandidateScan(H, q, r).min_support for r in range(1, n - k + 1)]
+        assert sorted(primal + dual) == list(range(1, n + 1)), (q, X.coords.tolist(), code.d)
+        checked += 1
 
 
 def test_budget_guard():
@@ -565,6 +605,9 @@ def test_scan_sums_fit_wherever_the_code_builds():
     code = build_code(ProjectivePointSet(PrimeField(q), points), 1)
     assert code.k == 4
     with pytest.raises(BudgetExceededError):
-        CandidateScan(code, 2, budget=10**6)
+        CandidateScan(code.generator_rows, code.q, 2, budget=10**6)
     with pytest.raises(ModulusTooLargeError):
         build_code(ProjectivePointSet(PrimeField(2**31 - 1), points), 1)
+    # a plain G of five rows needs five-term sums
+    with pytest.raises(ModulusTooLargeError):
+        CandidateScan(np.eye(5, dtype=np.int64), q, 1, budget=10**40)
