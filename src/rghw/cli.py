@@ -25,13 +25,12 @@ from .monideal import UnsupportedDimensionError
 from .points import (
     ProjectivePointSet,
     affine_cartesian,
-    all_projective_points,
     parse_points,
     projective_torus,
-    zero_set,
+    projective_zero_set,
 )
 from .polyring import ORDERS, PolyParseError, PolyRing
-from .weights import CandidateScan, FootprintProfile, admissible_counts, rgmdf
+from .weights import CandidateScan, FootprintProfile, admissible_counts
 
 WEIGHTS_HEADER = (
     "d", "r", "k1", "G", "fp", "delta", "vasconcelos", "Mr",
@@ -240,7 +239,7 @@ class Problem:
     and certification state for ideal-generator inputs.  `points` is the
     set a torus, cartesian or file source gives.  For an ideal, X is its
     zero set in P^(s-1)(F_q), found on first use, so commands that never
-    read it (`hilbert`, `matrix` with fp) never enumerate P^(s-1)(F_q)."""
+    read it (`hilbert`, `matrix` with fp) never search P^(s-1)(F_q)."""
 
     config: ProblemConfig
     order: object
@@ -252,12 +251,10 @@ class Problem:
     def X(self) -> ProjectivePointSet | None:
         if self.given_ideal is None:
             return self.points
-        q, s = self.config.q, self.config.s
         try:
-            space = all_projective_points(q, s)
+            rows = projective_zero_set(self.config.q, self.config.s, self.given_ideal.gens)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        rows = zero_set(space, self.given_ideal.gens)
         return ProjectivePointSet(self.ring.field, rows) if len(rows) else None
 
     def point_ideal(self) -> Ideal:
@@ -474,15 +471,19 @@ def cmd_weights(problem: Problem, args) -> tuple[str, int]:
         if (d, r_hi) not in profiles:
             profiles[d, r_hi] = _attempt(FootprintProfile, code.ideal, d, r_hi, args.budget)
             counts[d, r_hi] = _attempt(admissible_counts, code.ideal, d, r_hi, args.budget)
+        # one scan serves the rows of this query and degree; its shared setup
+        # counts toward the first row's ms
+        started = time.perf_counter()
+        scan = CandidateScan(
+            code.generator_rows, code.q, range(r_lo, r_hi + 1), sub, args.budget
+        )
         for r in range(r_lo, r_hi + 1):
-            started = time.perf_counter()
             where = f"line {query.lineno}, d={d}, r={r}"
             [fp_val] = _cells(f"{where}, fp", profiles[d, r_hi], lambda p: p.value(r))
             [cand_mono] = _cells(f"{where}, cand_mono", counts[d, r_hi], lambda c: c[r])
             weight, cand_poly = _cells(
-                f"{where}, {scan_columns}",
-                _attempt(CandidateScan, code.generator_rows, code.q, r, sub, args.budget),
-                lambda scan: scan.min_support, lambda scan: scan.family_count,
+                f"{where}, {scan_columns}", _attempt(scan.rank, r),
+                lambda found: found.min_support, lambda found: found.family_count,
             )
             # delta, vasconcelos and M_r are one number for a vanishing ideal
             mr = weight if args.with_bruteforce else "-"
@@ -495,6 +496,7 @@ def cmd_weights(problem: Problem, args) -> tuple[str, int]:
                     cand_poly, cand_mono, ms,
                 ]
             )
+            started = time.perf_counter()
     return _budgeted_output(WEIGHTS_HEADER, rows, args.format)
 
 
@@ -535,6 +537,8 @@ def cmd_matrix(problem: Problem, args) -> tuple[str, int]:
     for d, kk, code, sub in per_d:
         if function == "fp":
             profile = _attempt(FootprintProfile, ideal, d, kk, args.budget)
+        else:
+            scan = CandidateScan(code.generator_rows, code.q, range(1, kk + 1), sub, args.budget)
         cells = [str(d)]
         for r in range(1, rmax + 1):
             where = f"line {config.function_lineno}, d={d}, r={r}"
@@ -543,7 +547,7 @@ def cmd_matrix(problem: Problem, args) -> tuple[str, int]:
             elif function == "fp":
                 cells += _cells(where, profile, lambda p: p.value(r))
             else:
-                cells += _cells(where, _attempt(rgmdf, code, r, sub, args.budget), lambda m: m)
+                cells += _cells(where, _attempt(scan.rank, r), lambda found: found.min_support)
         rows.append(cells)
     return _budgeted_output(header, rows, args.format)
 

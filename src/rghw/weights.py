@@ -8,6 +8,8 @@ generator matrix, so any linear code, such as a dual, goes through it too."""
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .codes import BudgetExceededError, EvaluationCode
@@ -200,49 +202,80 @@ def rgff(ideal: Ideal, d: int, r: int) -> int:
     return FootprintProfile(ideal, d, r).value(r)
 
 
+class RankCounts(NamedTuple):
+    """What one rank's pass of a CandidateScan found: the subspaces visited,
+    those sharing a zero on X, their largest common zero set, and n minus
+    that, the smallest support."""
+
+    feasible_count: int
+    family_count: int
+    max_vanishing: int
+    min_support: int
+
+
 class CandidateScan:
-    """One pass over every r-dimensional subspace D of the coefficient space
-    with D meeting the subcode C_1 only in zero, recording how many there are
-    (`feasible_count`, in closed form below), how many share a zero on X
-    (`family_count`, the admissible ones), and the largest common zero set
-    (`max_vanishing`).
+    """Passes over every r-dimensional subspace D of the coefficient space
+    with D meeting the subcode C_1 only in zero, one pass per rank r in
+    `ranks`, all on one setup.  `rank(r)` runs rank r's pass and returns how
+    many subspaces it visited (`feasible_count`, in closed form below), how
+    many share a zero on X (`family_count`, the admissible ones), and the
+    largest common zero set (`max_vanishing`).
 
     With P the pivots of C_1's reduced echelon form, each such D is the row
     space of E + L C_1 for exactly one reduced echelon basis E supported off
     P and one L in F_q^(r x k1), so the pass enumerates the pairs (E, L) and
     filters nothing: there are q^(r k1) [k - k1, r]_q of them, and that
-    visited count is what the budget gate weighs and `feasible_count` holds.
+    visited count is what each rank's budget gate weighs.
 
     Fix the pivots p_0 < ... < p_(r-1) of E.  Row i of (E + L C_1) G is then
     off[p_i] + sum v_j off[j] + sum L_il C_1[l] G, over the off-pivot
     columns j > p_i that are no pivot of E: an affine family of codewords
     that depends only on p_i and the later pivots, independent of the other
     rows.  The common zero set of D is the AND of its rows' zero sets, so
-    the pass builds each row family's zero sets once, as bitmasks over X
-    (`_zero_masks`), and visits every subspace as one AND across rows and
-    one popcount.  Row 0's family is the largest (its free columns contain
-    every later row's); it is streamed in steps and sits on the contiguous
-    axis, while the later rows' families, found by a depth-first walk from
-    the last pivot, are held while their patterns are visited and combined
-    in blocks (`_and_blocks`) that drop masks already empty.
+    the pass takes each row family's zero sets as bitmasks over X and
+    visits every subspace as one AND across rows and one popcount.  Row 0's
+    family is the largest (its free columns contain every later row's) and
+    sits on the contiguous axis, while the later rows' families, found by a
+    depth-first walk from the last pivot, are held while their patterns are
+    visited and combined in blocks (`_and_blocks`) that drop masks already
+    empty; each pattern's blocks are formed once, for all of row 0's pivots.
+
+    When a rank of at least 2 passes its gate, every pivot p whose
+    q^(k - 1 - p) codewords off[p] + sum_(j > p) v_j off[j] + L C_1 fit one
+    numpy step gets one block of their zero masks, evaluated when a family
+    first needs it, with one axis per coordinate of (v, L); the family
+    (p, later) is the slice of that block with the digits at `later` set to
+    0.  Larger families, and all families of a scan that passes only rank 1,
+    each read once, are streamed from `_zero_masks` in steps.
 
     G, a (k, n) array of residues mod the prime q with independent rows,
     generates any linear code; `sub`, independent (k1, k) coefficient rows
     over G's rows as `validate_subcode` gives them, defaults to the zero
-    subcode, and r must lie in [1, k - k1].  The other checks on the inputs
-    run past the budget gate, so a scan refused for its size costs no rref."""
+    subcode, and every rank must lie in [1, k - k1].  A rank whose visited
+    count exceeds `budget` is refused by `rank(r)` with BudgetExceededError.
+    The other checks on the inputs run only when some rank passes its gate,
+    so a scan refused for its size costs no rref."""
 
     def __init__(
-        self, G: np.ndarray, q: int, r: int, sub: np.ndarray | None = None, budget: int = 10**7
+        self, G: np.ndarray, q: int, ranks, sub: np.ndarray | None = None, budget: int = 10**7
     ):
         k, n = G.shape
         sub = np.zeros((0, k), dtype=np.int64) if sub is None else sub
         k1 = len(sub)
-        if not 1 <= r <= k - k1:
-            raise ValueError(f"rank r={r} outside [1, {k - k1}]")
-        total = q ** (r * k1) * gaussian_binomial(k - k1, r, q)
-        if total > budget:
-            raise BudgetExceededError(total, budget)
+        width = self.width = k - k1
+        self.visited = {}
+        for r in ranks:
+            if not 1 <= r <= width:
+                raise ValueError(f"rank r={r} outside [1, {width}]")
+            self.visited[r] = q ** (r * k1) * gaussian_binomial(width, r, q)
+        self.q, self.n, self.budget = q, n, budget
+        self.words = -(-n // 64)
+        self.blocks = {}
+        # pivots from here on get a block, built on first use
+        self.first_block = width
+        admitted = [r for r, total in self.visited.items() if total <= budget]
+        if not admitted:
+            return
         require_exact_int64(q, k)
         if matrix_rank(G, q) < k:
             raise ValueError(f"the {k} rows of G are dependent")
@@ -251,44 +284,70 @@ class CandidateScan:
         pivots = rref(sub, q)[1] if k1 else []
         if len(pivots) < k1:
             raise ValueError(f"the {k1} rows of sub are dependent")
-        off = G[[c for c in range(k) if c not in pivots]]
-        words = -(-n // 64)
-        sub_evals = np.matmul(sub, G) % q
-        width = k - k1
+        self.off = G[[c for c in range(k) if c not in pivots]]
+        self.sub_evals = np.matmul(sub, G) % q
+        if max(admitted) >= 2:
+            while self.first_block and q ** (k - self.first_block) <= _SCAN_BATCH:
+                self.first_block -= 1
 
-        def family(p, later):
-            free = [j for j in range(p + 1, width) if j not in later]
-            return _zero_masks(off[p], np.concatenate([off[free], sub_evals]), q, words)
+    def family(self, p: int, later: tuple[int, ...]):
+        """The zero masks of row family (p, later): a slice of p's block as
+        one array, or the steps of `_zero_masks` when p has no block."""
+        if p < self.first_block:
+            free = [j for j in range(p + 1, self.width) if j not in later]
+            dirs = np.concatenate([self.off[free], self.sub_evals])
+            return _zero_masks(self.off[p], dirs, self.q, self.words)
+        if p not in self.blocks:
+            # reversed, so that axis t of the block is direction t
+            dirs = np.concatenate([self.off[p + 1 :], self.sub_evals])[::-1]
+            [masks] = _zero_masks(self.off[p], dirs, self.q, self.words)
+            self.blocks[p] = masks.reshape((self.q,) * len(dirs) + (self.words,))
+        cut = tuple(0 if j in later else slice(None) for j in range(p + 1, self.width))
+        return self.blocks[p][cut].reshape(-1, self.words)
 
+    def rank(self, r: int) -> RankCounts:
+        """Rank r's pass; BudgetExceededError when its visited count exceeds
+        the budget."""
+        total = self.visited[r]
+        if total > self.budget:
+            raise BudgetExceededError(total, self.budget)
         family_count = max_vanishing = 0
+        for row0, outer in self._visits(r - 1, (), []):
+            # one subspace per (outer AND, row-0 mask) pair
+            for block in _and_blocks(outer, self.words):
+                for ilo in range(0, len(row0), _SCAN_BATCH):
+                    part = row0[ilo : ilo + _SCAN_BATCH]
+                    step = max(1, _SCAN_BATCH // len(part))
+                    for lo in range(0, len(block), step):
+                        common = block[lo : lo + step, None] & part
+                        vanishing = np.bitwise_count(common)
+                        if self.words > 1:
+                            vanishing = vanishing.sum(axis=-1)
+                        family_count += int(np.count_nonzero(vanishing))
+                        max_vanishing = max(max_vanishing, int(vanishing.max()))
+        return RankCounts(total, family_count, max_vanishing, self.n - max_vanishing)
 
-        def descend(i, later, outer):
-            # rows i + 1.. have the pivots `later` and, in `outer`, their
-            # families' nonzero masks; a family with none leaves no subspace
-            # below sharing a zero
-            nonlocal family_count, max_vanishing
-            if outer and not len(outer[-1]):
-                return
-            for p in range(i, later[0] if later else width):
-                steps = family(p, later)
-                if i:
-                    masks = np.concatenate(list(steps))
-                    descend(i - 1, (p,) + later, outer + [masks[masks.any(axis=1)]])
-                    continue
-                for chunk in steps:
-                    step = max(1, _SCAN_BATCH // len(chunk))
-                    for block in _and_blocks(outer, words):
-                        for lo in range(0, len(block), step):
-                            common = block[lo : lo + step, None] & chunk
-                            vanishing = np.bitwise_count(common).sum(axis=-1)
-                            family_count += int(np.count_nonzero(vanishing))
-                            max_vanishing = max(max_vanishing, int(vanishing.max()))
-
-        descend(r - 1, (), [])
-        self.feasible_count = total
-        self.family_count = family_count
-        self.max_vanishing = max_vanishing
-        self.min_support = n - max_vanishing
+    def _visits(self, i: int, later: tuple[int, ...], outer: list[np.ndarray]):
+        """Pairs (row-0 masks, outer) below a node of the walk: rows i + 1..
+        have the pivots `later` and, in `outer`, their families' nonzero
+        masks.  A family with none leaves no subspace below sharing a zero."""
+        if outer and not len(outer[-1]):
+            return
+        pivots = range(i, later[0] if later else self.width)
+        if i:
+            for p in pivots:
+                masks = self.family(p, later)
+                if p < self.first_block:
+                    masks = np.concatenate(list(masks))
+                yield from self._visits(i - 1, (p,) + later, outer + [masks[masks.any(axis=1)]])
+            return
+        for p in pivots:
+            if p < self.first_block:
+                for chunk in self.family(p, later):
+                    yield chunk, outer
+        held = [self.family(p, later) for p in pivots if p >= self.first_block]
+        if held:
+            yield np.concatenate(held), outer
 
 
 # masks or (head, tail) pairs per numpy step: bounds the scan's peak memory.
@@ -369,4 +428,4 @@ def rgmdf(
     """M_r(C, C_1): the smallest support n - |V_X(D)| over the r-dimensional
     subcodes D of C meeting C_1 only in zero.  n = deg(S/I_X), so this is
     also the degree-drop and the colon-degree weight of I_X."""
-    return CandidateScan(code.generator_rows, code.q, r, sub, budget).min_support
+    return CandidateScan(code.generator_rows, code.q, [r], sub, budget).rank(r).min_support

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from oracles import certification_by_normal_forms
-from rghw import cli
+from rghw import cli, points, weights
 from rghw.cli import main, parse_config, ConfigError
 from rghw.groebner import Ideal
 from rghw.polyring import ORDERS, PolyRing
@@ -125,6 +125,17 @@ def test_weights_without_bruteforce_dashes_Mr(capsys, torus3_cfg):
     assert code == 0
     for line in out.rstrip("\n").split("\n")[1:]:
         assert line.split(",")[7] == "-"
+
+
+def test_weights_checks_each_row_group_once(capsys, tmp_path, monkeypatch):
+    # one scan per (query, degree) group: G's rank is checked once for the
+    # four rows at d = 1 (k = 4) and once for the seven at d = 2 (k = 7)
+    checked = []
+    rank_of = weights.matrix_rank
+    monkeypatch.setattr(weights, "matrix_rank", lambda G, q: checked.append(len(G)) or rank_of(G, q))
+    (tmp_path / "t.cfg").write_text("q = 3\ns = 4\nsource = torus\n[query]\nd = 1..2\nr = all\n")
+    status, out, _ = run(capsys, ["weights", "--config", str(tmp_path / "t.cfg")])
+    assert (status, len(out.splitlines()), checked) == (0, 12, [4, 7])
 
 
 def test_reruns_are_identical(capsys, torus3_cfg):
@@ -310,11 +321,11 @@ def test_ideal_zero_set_is_enumerated_only_when_read(capsys, tmp_path, monkeypat
     )
     argv = ["--config", str(tmp_path / "t.cfg")]
 
-    def refuse(q, s):
-        raise AssertionError("P^(s-1)(F_q) enumerated")
+    def refuse(q, s, polys):
+        raise AssertionError("P^(s-1)(F_q) searched")
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "all_projective_points", refuse)
+        patch.setattr(cli, "projective_zero_set", refuse)
         assert run(capsys, ["matrix"] + argv) == (
             0, "d  r1  r2  r3  r4\n1   2   3   4   -\n2   1   2   3   4\n", "")
         assert run(capsys, ["hilbert"] + argv)[0] == 0
@@ -528,7 +539,8 @@ CARTESIAN_FACTORS = "; ".join(["0 1 2 3 4 5 6 7 8 9 10"] * 6)
     ("q = 5\ns = 40\nsource = torus", str(4**39)),
     ("q = 5\ns = 7200\nsource = torus", "more than 10^4334"),
     (f"q = 11\nsource = cartesian\nfactors = {CARTESIAN_FACTORS}", str(11**6)),
-    ("q = 5\ns = 16\nsource = ideal\ngenerators = t1", str((5**16 - 1) // 4)),
+    # the zero set is what is capped: t1 = 0 in P^21(F_2) is a P^20
+    ("q = 2\ns = 22\nsource = ideal\ngenerators = t1", str(2**21 - 1)),
 ], ids=["torus", "torus-past-4300-digits", "cartesian", "ideal"])
 def test_point_set_too_large_to_enumerate_is_config_error(capsys, tmp_path, main_keys, count):
     (tmp_path / "big.cfg").write_text(main_keys + "\n[query]\nd = 1\n")
@@ -538,6 +550,30 @@ def test_point_set_too_large_to_enumerate_is_config_error(capsys, tmp_path, main
         f"config error: the point set would have {count} points; "
         "at most 1048576 can be enumerated\n"
     )
+
+
+@pytest.mark.parametrize("s, count", [(16, str((5**16 - 1) // 4)), (7200, "more than 10^5031")])
+def test_ideal_space_too_large_to_search_is_config_error(capsys, tmp_path, s, count):
+    (tmp_path / "big.cfg").write_text(
+        f"q = 5\ns = {s}\nsource = ideal\ngenerators = t1\n[query]\nd = 1\n")
+    assert run(capsys, ["weights", "--config", str(tmp_path / "big.cfg")]) == (
+        2, "",
+        f"config error: P^{s - 1}(F_5) has {count} points; at most 16777216 can be "
+        "searched for zeros\n",
+    )
+
+
+def test_ideal_zero_set_is_capped_not_its_space(capsys, tmp_path, monkeypatch):
+    # t1 = t2 = 0 cuts a line of 4 points out of the 40 of P^3(F_3)
+    monkeypatch.setattr(points, "MAX_POINTS", 10)
+    (tmp_path / "line.cfg").write_text(
+        "q = 3\ns = 4\nsource = ideal\ngenerators = t1 ; t2\n[query]\nd = 1\n")
+    assert run(capsys, ["code-info", "--config", str(tmp_path / "line.cfg")]) == (
+        0, "d  n  k  reg\n1  4  2    3\n", "")
+    monkeypatch.setattr(points, "MAX_POINTS", 3)
+    assert run(capsys, ["code-info", "--config", str(tmp_path / "line.cfg")]) == (
+        2, "", "config error: the point set would have 4 points; at most 3 can be "
+        "enumerated\n")
 
 
 def test_python_dash_m_runs_the_cli():
@@ -563,6 +599,22 @@ SCAN_MATRIX_CASES = {
         "line 4, d=3, r=3: enumeration needs 25095280 candidates, budget is 10000000\n"
         "line 4, d=3, r=4: enumeration needs 75913222 candidates, budget is 10000000\n"
         "line 4, d=3, r=5: enumeration needs 25095280 candidates, budget is 10000000\n",
+    ),
+    # torus of P^3/F_5 up to d = 2: of d = 2's ranks only 1, 9 and 10 pass
+    # the default budget, all three from one scan
+    "torus-p3-f5": (
+        "q = 5\ns = 4\nsource = torus\nfunction = {f}\ndmax = 2\n", [],
+        3,
+        "d,r1,r2,r3,r4,r5,r6,r7,r8,r9,r10\n"
+        "1,48,60,63,64,-,-,-,-,-,-\n"
+        "2,32,!,!,!,!,!,!,!,63,64\n",
+        "line 4, d=2, r=2: enumeration needs 198682027181 candidates, budget is 10000000\n"
+        "line 4, d=2, r=3: enumeration needs 625886840206056 candidates, budget is 10000000\n"
+        "line 4, d=2, r=4: enumeration needs 78360229974772306 candidates, budget is 10000000\n"
+        "line 4, d=2, r=5: enumeration needs 391901483074853556 candidates, budget is 10000000\n"
+        "line 4, d=2, r=6: enumeration needs 78360229974772306 candidates, budget is 10000000\n"
+        "line 4, d=2, r=7: enumeration needs 625886840206056 candidates, budget is 10000000\n"
+        "line 4, d=2, r=8: enumeration needs 198682027181 candidates, budget is 10000000\n",
     ),
     "subcode": (
         "q = 3\ns = 4\nsource = torus\nfunction = {f}\ndmax = 1\nk1 = 1\nG = t1\n", [],

@@ -10,6 +10,7 @@ import pytest
 from rghw.field import PrimeField
 from rghw.groebner import Ideal
 from rghw.linalg import ModulusTooLargeError, matrix_rank
+from rghw import points
 from rghw.points import (
     ProjectivePointSet,
     affine_cartesian,
@@ -18,6 +19,7 @@ from rghw.points import (
     format_points,
     parse_points,
     projective_torus,
+    projective_zero_set,
     zero_set,
 )
 from rghw.polyring import GREVLEX, GRLEX, LEX, PolyRing
@@ -270,6 +272,40 @@ def test_zero_set_examples():
     assert len(zero_set(projective_torus(5, 3), [PolyRing(PrimeField(5), 3).parse("t1")])) == 0
     with pytest.raises(ValueError):
         zero_set(X3, [ring.parse("t1 + t2^2")])
+
+
+@pytest.mark.parametrize("step", [1, 4, 7, 1 << 16])
+def test_projective_zero_set_matches_the_whole_space(monkeypatch, step, seed=3061):
+    # the chart-by-chart search finds the zero set that filtering all of
+    # P^(s-1)(F_q) finds, in the same order, whether a step holds part of
+    # one coordinate's values, several heads, or a whole chart
+    monkeypatch.setattr(points, "_SEARCH_STEP", step)
+    rng = random.Random(seed)
+    for q, s in ((2, 4), (3, 3), (5, 2), (5, 3), (2, 1)):
+        ring = PolyRing(PrimeField(q), s)
+        space = all_projective_points(q, s)
+        for _ in range(4):
+            polys = []
+            for _ in range(rng.randrange(0, 3)):
+                pool = ring.monomials_of_degree(rng.randrange(1, 3))
+                terms = rng.sample(pool, rng.randrange(1, min(3, len(pool)) + 1))
+                polys.append(ring.from_terms({m: rng.randrange(1, q) for m in terms}))
+            found = projective_zero_set(q, s, polys)
+            assert found.tolist() == zero_set(space, polys).tolist(), (q, s, step)
+
+
+def test_projective_zero_set_caps_the_zeros_and_the_search(monkeypatch):
+    ring = PolyRing(PrimeField(3), 4)
+    line = [ring.parse("t1"), ring.parse("t2")]
+    # MAX_POINTS caps the zero set, not the 40 points searched
+    monkeypatch.setattr(points, "MAX_POINTS", 4)
+    assert projective_zero_set(3, 4, line).tolist() == [[0, 0, 1, 0], [0, 0, 1, 1],
+                                                         [0, 0, 1, 2], [0, 0, 0, 1]]
+    with pytest.raises(ValueError, match="would have 13 points; at most 4 can be"):
+        projective_zero_set(3, 4, line[:1])
+    monkeypatch.setattr(points, "MAX_SEARCHED", 39)
+    with pytest.raises(ValueError, match=r"P\^3\(F_3\) has 40 points; at most 39 can be searched"):
+        projective_zero_set(3, 4, line)
 
 
 def test_nonvanishing_count_matches_degree_drop(seed=69307):

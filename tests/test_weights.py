@@ -375,11 +375,47 @@ def test_lifted_scan_matches_support_oracle(q, k1):
     k = code.k
     ranks = [r for r in range(1, k - k1 + 1) if gaussian_binomial(k, r, q) <= 2 * 10**5]
     assert ranks
+    group = CandidateScan(code.generator_rows, code.q, ranks, sub)
     for r in ranks:
-        scan = CandidateScan(code.generator_rows, code.q, r, sub)
+        scan = group.rank(r)
         assert (scan.min_support, scan.family_count, scan.feasible_count) == \
             rghw_by_support_scan(code, sub, r), (r, k)
         assert scan.feasible_count == q ** (r * k1) * gaussian_binomial(k - k1, r, q)
+
+
+@pytest.mark.parametrize("batch", [5, 64])
+def test_every_rank_of_a_group_matches_support_oracle(monkeypatch, batch):
+    # one scan serves all ranks of a code; with a step of `batch` masks the
+    # families of the first pivots are streamed while the later pivots'
+    # families are sliced from their blocks, in the same group
+    monkeypatch.setattr(weights, "_SCAN_BATCH", batch)
+    rng = random.Random(batch)
+    mixed = 0
+    for q, (s, npoints, d) in sorted(SCAN_ORACLE_CODES.items()):
+        for k1 in (0, 1, 2):
+            code = build_code(random_point_set(rng, q, s, npoints), d)
+            sub = random_subcode(rng, code, k1)
+            ranks = [r for r in range(1, code.k - k1 + 1)
+                     if gaussian_binomial(code.k, r, q) <= 3 * 10**4]
+            group = CandidateScan(code.generator_rows, q, ranks, sub)
+            for r in ranks:
+                scan = group.rank(r)
+                assert (scan.min_support, scan.family_count, scan.feasible_count) == \
+                    rghw_by_support_scan(code, sub, r), (q, k1, r)
+            mixed += 0 < group.first_block < group.width
+    assert mixed >= 6
+
+
+def test_group_scans_the_ranks_its_budget_admits():
+    # torus of P^3/F_5 at d = 2 (k = 10, n = 64): ranks 2..8 visit more than
+    # 10^7 subspaces and are refused one by one; ranks 1, 9 and 10 are scanned
+    code = build_code(projective_torus(5, 4), 2)
+    group = CandidateScan(code.generator_rows, code.q, range(1, 11))
+    for r in range(2, 9):
+        with pytest.raises(BudgetExceededError) as err:
+            group.rank(r)
+        assert err.value.needed == gaussian_binomial(10, r, 5)
+    assert [group.rank(r).min_support for r in (1, 9, 10)] == [32, 63, 64]
 
 
 def test_scan_on_large_fields_matches_support_oracle():
@@ -394,7 +430,7 @@ def test_scan_on_large_fields_matches_support_oracle():
     line = build_code(ProjectivePointSet(PrimeField(65537), [(1, 0), (1, 5), (0, 1)]), 1)
     for code, r in ((code, 7), (line, 1)):
         sub = validate_subcode(code, [])
-        scan = CandidateScan(code.generator_rows, code.q, r, sub)
+        scan = CandidateScan(code.generator_rows, code.q, [r], sub).rank(r)
         assert (scan.min_support, scan.family_count, scan.feasible_count) == \
             rghw_by_support_scan(code, sub, r)
     assert scan.feasible_count == 65538 and scan.min_support == 2
@@ -407,8 +443,9 @@ def test_scan_masks_span_several_words():
     assert (code.n, code.k) == (70, 3)
     for k1 in (0, 1):
         sub = random_subcode(rng, code, k1)
+        group = CandidateScan(code.generator_rows, code.q, (1, 2), sub)
         for r in (1, 2):
-            scan = CandidateScan(code.generator_rows, code.q, r, sub)
+            scan = group.rank(r)
             assert (scan.min_support, scan.family_count, scan.feasible_count) == \
                 rghw_by_support_scan(code, sub, r), (k1, r)
 
@@ -421,7 +458,7 @@ def test_scan_streams_a_row_family_past_one_batch():
     assert code.k == 10 and 3 ** 9 > weights._SCAN_BATCH
     for k1 in (0, 1):
         sub = random_subcode(rng, code, k1)
-        scan = CandidateScan(code.generator_rows, code.q, 1, sub)
+        scan = CandidateScan(code.generator_rows, code.q, [1], sub).rank(1)
         assert (scan.min_support, scan.family_count, scan.feasible_count) == \
             rghw_by_support_scan(code, sub, 1), k1
 
@@ -437,7 +474,7 @@ def test_scan_chunks_the_product_of_later_rows(monkeypatch, batch):
     sub = random_subcode(rng, code, 1)
     expected = rghw_by_support_scan(code, sub, 3)
     monkeypatch.setattr(weights, "_SCAN_BATCH", batch)
-    scan = CandidateScan(code.generator_rows, code.q, 3, sub)
+    scan = CandidateScan(code.generator_rows, code.q, [3], sub).rank(3)
     assert (scan.min_support, scan.family_count, scan.feasible_count) == expected
 
 
@@ -449,9 +486,9 @@ def test_scan_budget_weighs_the_visited_count():
         visited = 3 ** r * gaussian_binomial(code.k - 1, r, 3)
         assert visited < gaussian_binomial(code.k, r, 3)
         with pytest.raises(BudgetExceededError) as err:
-            CandidateScan(code.generator_rows, code.q, r, sub, budget=visited - 1)
+            CandidateScan(code.generator_rows, code.q, [r], sub, budget=visited - 1).rank(r)
         assert err.value.needed == visited
-        scan = CandidateScan(code.generator_rows, code.q, r, sub, budget=visited)
+        scan = CandidateScan(code.generator_rows, code.q, [r], sub, budget=visited).rank(r)
         assert scan.feasible_count == visited
 
 
@@ -459,7 +496,7 @@ def test_empty_family_falls_back_to_degree():
     # no admissible subspace of rank 3 on this torus: every rank-3 space of
     # linear forms cuts the torus down to nothing
     code = build_code(projective_torus(5, 3), 1)
-    scan = CandidateScan(code.generator_rows, code.q, 3)
+    scan = CandidateScan(code.generator_rows, code.q, [3]).rank(3)
     assert scan.family_count == scan.max_vanishing == 0
     assert rgmdf(code, 3) == code.ideal.degree() == 16
     assert FootprintProfile(code.ideal, 1, 3).value(3) == 16
@@ -516,9 +553,10 @@ def test_enumeration_matches_groebner_degrees(seed=39209):
 def test_candidate_counts_are_within_bounds():
     code, sub = torus3_code()
     counts = admissible_counts(code.ideal, 1, 3)
+    group = CandidateScan(code.generator_rows, code.q, (1, 2, 3), sub)
     for r in (1, 2, 3):
         assert counts[r] <= comb(code.k, r)
-        scan = CandidateScan(code.generator_rows, code.q, r, sub)
+        scan = group.rank(r)
         assert scan.family_count <= gaussian_binomial(code.k, r, code.q)
     assert counts == [0, 3, 3, 1]
 
@@ -541,21 +579,21 @@ def test_query_validation():
     code, sub = torus3_code()
     G, q = code.generator_rows, code.q
     with pytest.raises(ValueError, match="outside"):
-        CandidateScan(G, q, 0, sub)
+        CandidateScan(G, q, [1, 0], sub)
     with pytest.raises(ValueError, match="outside"):
         rgmdf(code, 4, sub)  # k - k1 = 3
     # a subcode validated against another code has the wrong width
     other = build_code(projective_torus(3, 4), 2)
     with pytest.raises(ValueError, match=r"shape \(k1, 7\), got \(1, 4\)"):
-        CandidateScan(other.generator_rows, q, 1, sub)
+        CandidateScan(other.generator_rows, q, [1], sub)
     dependent = np.vstack([G, G[:1]])
     with pytest.raises(ValueError, match="rows of G are dependent"):
-        CandidateScan(dependent, q, 1)
+        CandidateScan(dependent, q, [1])
     with pytest.raises(ValueError, match="rows of sub are dependent"):
-        CandidateScan(G, q, 1, np.vstack([sub, 2 * sub % q]))
-    # the inputs are checked past the budget gate
+        CandidateScan(G, q, [1], np.vstack([sub, 2 * sub % q]))
+    # the inputs are checked only when some rank passes its budget gate
     with pytest.raises(BudgetExceededError):
-        CandidateScan(dependent, q, 1, budget=5)
+        CandidateScan(dependent, q, [1, 2], budget=5).rank(1)
 
 
 @pytest.mark.parametrize("q, s", [(3, 3), (5, 3), (3, 4), (2, 5)])
@@ -564,8 +602,9 @@ def test_simplex_code_weight_hierarchy(q, s):
     # subcode vanishes on the points of a codimension-r subspace, so
     # d_r = (q^s - q^(s-r)) / (q - 1)
     G = all_projective_points(q, s).coords.T
+    scan = CandidateScan(G, q, range(1, s + 1))
     for r in range(1, s + 1):
-        assert CandidateScan(G, q, r).min_support == (q**s - q ** (s - r)) // (q - 1)
+        assert scan.rank(r).min_support == (q**s - q ** (s - r)) // (q - 1)
 
 
 def test_wei_duality_on_random_codes(seed=1991):
@@ -581,8 +620,10 @@ def test_wei_duality_on_random_codes(seed=1991):
         if max(gaussian_binomial(k, k // 2, q), gaussian_binomial(n - k, (n - k) // 2, q)) > 10**5:
             continue
         H = kernel_basis(G, q)
-        primal = [CandidateScan(G, q, r).min_support for r in range(1, k + 1)]
-        dual = [n + 1 - CandidateScan(H, q, r).min_support for r in range(1, n - k + 1)]
+        code_scan = CandidateScan(G, q, range(1, k + 1))
+        dual_scan = CandidateScan(H, q, range(1, n - k + 1))
+        primal = [code_scan.rank(r).min_support for r in range(1, k + 1)]
+        dual = [n + 1 - dual_scan.rank(r).min_support for r in range(1, n - k + 1)]
         assert sorted(primal + dual) == list(range(1, n + 1)), (q, X.coords.tolist(), code.d)
         checked += 1
 
@@ -605,9 +646,9 @@ def test_scan_sums_fit_wherever_the_code_builds():
     code = build_code(ProjectivePointSet(PrimeField(q), points), 1)
     assert code.k == 4
     with pytest.raises(BudgetExceededError):
-        CandidateScan(code.generator_rows, code.q, 2, budget=10**6)
+        CandidateScan(code.generator_rows, code.q, [2], budget=10**6).rank(2)
     with pytest.raises(ModulusTooLargeError):
         build_code(ProjectivePointSet(PrimeField(2**31 - 1), points), 1)
     # a plain G of five rows needs five-term sums
     with pytest.raises(ModulusTooLargeError):
-        CandidateScan(np.eye(5, dtype=np.int64), q, 1, budget=10**40)
+        CandidateScan(np.eye(5, dtype=np.int64), q, [1], budget=10**40)
