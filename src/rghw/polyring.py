@@ -118,9 +118,6 @@ class PolyRing:
             Polynomial(self, {tuple(int(i == j) for j in range(n)): 1}) for i in range(n)
         )
 
-    def variable(self, index: int) -> "Polynomial":
-        return self.gens()[index]
-
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
 
@@ -275,9 +272,6 @@ class Polynomial:
 
     def coefficient(self, monomial) -> int:
         return self.terms.get(monomial, 0)
-
-    def monomials(self) -> list[tuple[int, ...]]:
-        return list(self.terms)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""

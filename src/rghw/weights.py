@@ -240,13 +240,13 @@ class CandidateScan:
     visited and combined in blocks (`_and_blocks`) that drop masks already
     empty; each pattern's blocks are formed once, for all of row 0's pivots.
 
-    When a rank of at least 2 passes its gate, every pivot p whose
-    q^(k - 1 - p) codewords off[p] + sum_(j > p) v_j off[j] + L C_1 fit one
-    numpy step gets one block of their zero masks, evaluated when a family
-    first needs it, with one axis per coordinate of (v, L); the family
-    (p, later) is the slice of that block with the digits at `later` set to
-    0.  Larger families, and all families of a scan that passes only rank 1,
-    each read once, are streamed from `_zero_masks` in steps.
+    Each pivot p from `first_block` on, whose q^(k - 1 - p) codewords
+    off[p] + sum_(j > p) v_j off[j] + L C_1 fit one numpy step, gets one
+    block of their zero masks, built on first use, with one axis per v_j;
+    the family (p, later) is its slice with the digits at `later` set to 0.
+    Below `first_block`, row 0 streams its families from `_zero_masks` and
+    a later row builds its own alone: p's block could dwarf it (at
+    r = k - k1 the family at p = 1 is q^k1 masks, the block q^(k - 2)).
 
     G, a (k, n) array of residues mod the prime q with independent rows,
     generates any linear code; `sub`, independent (k1, k) coefficient rows
@@ -273,8 +273,9 @@ class CandidateScan:
         self.blocks = {}
         # pivots from here on get a block, built on first use
         self.first_block = width
-        admitted = [r for r, total in self.visited.items() if total <= budget]
-        if not admitted:
+        while self.first_block and q ** (k - self.first_block) <= _SCAN_BATCH:
+            self.first_block -= 1
+        if all(total > budget for total in self.visited.values()):
             return
         require_exact_int64(q, k)
         if matrix_rank(G, q) < k:
@@ -286,24 +287,23 @@ class CandidateScan:
             raise ValueError(f"the {k1} rows of sub are dependent")
         self.off = G[[c for c in range(k) if c not in pivots]]
         self.sub_evals = np.matmul(sub, G) % q
-        if max(admitted) >= 2:
-            while self.first_block and q ** (k - self.first_block) <= _SCAN_BATCH:
-                self.first_block -= 1
 
-    def family(self, p: int, later: tuple[int, ...]):
-        """The zero masks of row family (p, later): a slice of p's block as
-        one array, or the steps of `_zero_masks` when p has no block."""
-        if p < self.first_block:
-            free = [j for j in range(p + 1, self.width) if j not in later]
-            dirs = np.concatenate([self.off[free], self.sub_evals])
-            return _zero_masks(self.off[p], dirs, self.q, self.words)
+    def family(self, p: int, later: tuple[int, ...]) -> np.ndarray:
+        """The zero masks of row family (p, later), p >= `first_block`, as one
+        array: the slice of p's one-step block with the digits at `later` 0."""
         if p not in self.blocks:
-            # reversed, so that axis t of the block is direction t
-            dirs = np.concatenate([self.off[p + 1 :], self.sub_evals])[::-1]
-            [masks] = _zero_masks(self.off[p], dirs, self.q, self.words)
-            self.blocks[p] = masks.reshape((self.q,) * len(dirs) + (self.words,))
+            [masks] = self.stream(p, ())
+            # one axis per off-pivot direction, then one for all of L C_1
+            self.blocks[p] = masks.reshape((self.q,) * (self.width - 1 - p) + (-1, self.words))
         cut = tuple(0 if j in later else slice(None) for j in range(p + 1, self.width))
         return self.blocks[p][cut].reshape(-1, self.words)
+
+    def stream(self, p: int, later: tuple[int, ...]):
+        """The `_zero_masks` steps of row family (p, later), its directions
+        reversed so that axis t of p's block is direction t."""
+        free = [j for j in range(p + 1, self.width) if j not in later]
+        dirs = np.concatenate([self.off[free], self.sub_evals])[::-1]
+        return _zero_masks(self.off[p], dirs, self.q, self.words)
 
     def rank(self, r: int) -> RankCounts:
         """Rank r's pass; BudgetExceededError when its visited count exceeds
@@ -336,14 +336,13 @@ class CandidateScan:
         pivots = range(i, later[0] if later else self.width)
         if i:
             for p in pivots:
-                masks = self.family(p, later)
-                if p < self.first_block:
-                    masks = np.concatenate(list(masks))
+                masks = (self.family(p, later) if p >= self.first_block
+                         else np.concatenate(list(self.stream(p, later))))
                 yield from self._visits(i - 1, (p,) + later, outer + [masks[masks.any(axis=1)]])
             return
         for p in pivots:
             if p < self.first_block:
-                for chunk in self.family(p, later):
+                for chunk in self.stream(p, later):
                     yield chunk, outer
         held = [self.family(p, later) for p in pivots if p >= self.first_block]
         if held:
@@ -357,29 +356,28 @@ _SCAN_BATCH = 1 << 14
 def _zero_masks(base: np.ndarray, dirs: np.ndarray, q: int, words: int):
     """Zero sets of the codewords base + sum_t v_t dirs[t] mod q, for v in
     F_q^len(dirs), as bitmasks of `words` uint64 words: yields arrays of
-    shape (c, words), at most _SCAN_BATCH codewords each.
+    shape (c, words), at most _SCAN_BATCH codewords each, in little-endian
+    digit order (codeword number sum_t v_t q^t), so the steps joined reshape
+    to one axis per direction, the last direction first.
 
-    v splits into a head and a tail: a codeword vanishes at a point exactly
-    where the head's value there equals minus the tail's, so each step
-    compares a block of heads with every tail, in the smallest unsigned
-    type that holds 2q.  Both are padded to 64 * words columns, heads with
-    0 and tails with q, which no residue equals, so the comparison fills
-    whole mask words and `packbits` turns it into masks directly."""
+    v splits into a tail, its first digits, and a head, the rest: a codeword
+    vanishes at a point exactly where the head's value there equals minus
+    the tail's, so each step compares a block of heads with every tail, in
+    the smallest unsigned type that holds 2q.  Both are padded to 64 * words
+    columns, heads with 0 and tails with q, which no residue equals, so each
+    comparison fills whole mask words that `packbits` turns into masks."""
     n = len(base)
-    tail_len = 0
-    while tail_len < len(dirs) and q ** (tail_len + 1) <= _SCAN_BATCH:
-        tail_len += 1
-    split = len(dirs) - tail_len
+    tail_len = max(t for t in range(len(dirs) + 1) if q**t <= _SCAN_BATCH)
     dtype = np.min_scalar_type(2 * q)
-    span = _span(-dirs[split:] % q, q, dtype)
+    span = _span(-dirs[:tail_len] % q, q, dtype)
     tail = np.full((len(span), 64 * words), q, dtype=dtype)
     tail[:, :n] = span
-    heads = q**split
+    heads = q ** (len(dirs) - tail_len)
     step = max(1, _SCAN_BATCH // len(tail))
     for lo in range(0, heads, step):
-        coeffs = _digits(lo, min(lo + step, heads), split, q)
+        coeffs = _digits(lo, min(lo + step, heads), len(dirs) - tail_len, q)
         head = np.zeros((len(coeffs), 64 * words), dtype=dtype)
-        head[:, :n] = (base + coeffs @ dirs[:split]) % q
+        head[:, :n] = (base + coeffs @ dirs[tail_len:]) % q
         zero = head[:, None, :] == tail
         yield np.packbits(zero, bitorder="little").view(np.uint64).reshape(-1, words)
 

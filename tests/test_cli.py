@@ -192,6 +192,82 @@ def test_config_error_missing_file(capsys):
     assert code == 2
 
 
+TORUS_KEYS = "q = 3\ns = 3\nsource = torus\n"
+# (command, config, stderr line): one case per refusal no other test reaches;
+# {dir} stands for the config's resolved directory
+CONFIG_ERRORS = {
+    "integer key": ("hilbert", "q = x\nsource = torus\ns = 3\n",
+                    "line 1: q must be an integer, got 'x'"),
+    "empty d range": ("hilbert", TORUS_KEYS + "[query]\nd = 3..1\n",
+                      "line 5: bad d range '3..1'"),
+    "line without =": ("hilbert", TORUS_KEYS + "dmax 2\n",
+                       "line 4: expected key = value, got 'dmax 2'"),
+    "unknown source": ("hilbert", "q = 3\ns = 3\nsource = moon\n",
+                       "line 3: source must be one of torus, cartesian, file, ideal, "
+                       "got 'moon'"),
+    "empty factor": ("hilbert", "q = 3\nsource = cartesian\nfactors = 0 1 ;\n",
+                     "line 3: empty cartesian factor"),
+    "empty generators": ("hilbert", "q = 3\ns = 3\nsource = ideal\ngenerators = ;\n",
+                         "line 4: generators list is empty"),
+    "unknown function": ("hilbert", TORUS_KEYS + "function = magic\n",
+                         "line 4: function must be one of fp, delta, vasconcelos, bruteforce, "
+                         "got 'magic'"),
+    "unknown query key": ("hilbert", TORUS_KEYS + "[query]\nd = 1\nx = 1\n",
+                          "line 6: unknown query key 'x'"),
+    "no q": ("hilbert", "s = 3\nsource = torus\n", "missing required key: q"),
+    "torus without s": ("hilbert", "q = 3\nsource = torus\n", "torus source needs s"),
+    "cartesian without factors": ("hilbert", "q = 3\nsource = cartesian\n",
+                                  "cartesian source needs factors"),
+    "file without name": ("hilbert", "q = 3\nsource = file\n",
+                          "file source needs points_file"),
+    "ideal without s": ("hilbert", "q = 3\nsource = ideal\ngenerators = t1\n",
+                        "ideal source needs s"),
+    "ideal without generators": ("hilbert", "q = 3\ns = 3\nsource = ideal\n",
+                                 "ideal source needs generators"),
+    "s against factors": ("hilbert", "q = 3\ns = 4\nsource = cartesian\nfactors = 0 1 ; 0 1\n",
+                          "s = 4 contradicts 2 cartesian factors"),
+    "k1 without G": ("hilbert", TORUS_KEYS + "k1 = 1\n", "k1 = 1 but G lists 0 polynomials"),
+    "zero generator": ("hilbert", "q = 3\ns = 3\nsource = ideal\ngenerators = t1 - t1\n",
+                       "zero polynomial in generator list: 't1 - t1'"),
+    "inhomogeneous generator": ("hilbert",
+                                "q = 3\ns = 3\nsource = ideal\ngenerators = t1^2 - t2\n",
+                                "generator 't1^2 - t2' is not homogeneous"),
+    "torus on a line": ("hilbert", "q = 3\ns = 1\nsource = torus\n", "torus needs s >= 2"),
+    "missing points file": ("hilbert", "q = 3\nsource = file\npoints_file = missing.txt\n",
+                            "cannot read points file: [Errno 2] No such file or directory: "
+                            "'{dir}/missing.txt'"),
+    "points file without points": ("hilbert",
+                                   "q = 3\nsource = file\npoints_file = empty.txt\n",
+                                   "empty.txt: no points in input"),
+    "positive-dimensional quotient": ("hilbert",
+                                      "q = 3\ns = 3\nsource = ideal\ngenerators = t1\n",
+                                      "quotient has dimension 2; only dimensions 0 and 1 "
+                                      "are supported"),
+    "weights without queries": ("weights", TORUS_KEYS,
+                                "this command needs at least one [query] block"),
+    "query subcode fills the code": ("weights",
+                                     TORUS_KEYS + "[query]\nd = 1\nk1 = 3\nG = t1 ; t2 ; t3\n",
+                                     "line 4: k1 = 3 leaves no valid rank at d = 1"),
+    "matrix subcode over degrees": ("matrix",
+                                    TORUS_KEYS + "function = delta\ndmax = 2\nk1 = 1\nG = t1\n",
+                                    "matrix mode with k1 > 0 needs a single degree "
+                                    "(set dmax = 1)"),
+    "matrix subcode fills the code": ("matrix", TORUS_KEYS + "function = delta\ndmax = 1\n"
+                                      "k1 = 3\nG = t1 ; t2 ; t3\n",
+                                      "k1 leaves no valid rank anywhere in the degree range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_error_exits_2_with_its_message(capsys, tmp_path, case):
+    command, text, message = CONFIG_ERRORS[case]
+    (tmp_path / "empty.txt").write_text("# nothing\n")
+    (tmp_path / "bad.cfg").write_text(text)
+    message = message.format(dir=tmp_path.resolve())
+    assert run(capsys, [command, "--config", str(tmp_path / "bad.cfg")]) == (
+        2, "", f"config error: {message}\n")
+
+
 def test_certification_failure_reports_direction(capsys, tmp_path):
     # (t1*t2) cuts out the two coordinate points but is smaller than their
     # vanishing ideal, so the I_X <= I direction must fail
@@ -584,6 +660,28 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0
     assert done.stdout.startswith("usage: rghw")
+
+
+def test_entry_points_pass_on_the_exit_status(tmp_path):
+    # `python -m rghw` runs __main__.py, `python -m rghw.cli` the guard at
+    # the end of cli.py
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "rghw", "weights", "--config",
+         str(root / "configs" / "torus-p2-f5.cfg"), "--format", "csv"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("d,r,k1,G,fp,")
+    missing = tmp_path / "missing.cfg"
+    for module in ("rghw", "rghw.cli"):
+        done = subprocess.run(
+            [sys.executable, "-m", module, "hilbert", "--config", str(missing)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (2, ""), module
+        assert done.stderr == (
+            f"config error: [Errno 2] No such file or directory: '{missing}'\n"), module
 
 
 SCAN_MATRIX_CASES = {

@@ -292,6 +292,18 @@ class TestParsing:
             ring.parse("t1 + t9^2")
         assert info.value.offset == 5
 
+    @pytest.mark.parametrize("text, offset", [("2^3", 1), ("t1^2^3", 4)])
+    def test_caret_after_a_finished_factor_needs_an_operator(self, ring, text, offset):
+        with pytest.raises(PolyParseError) as info:
+            ring.parse(text)
+        assert str(info.value) == f"expected '+' or '-' between terms (at offset {offset})"
+        assert info.value.offset == offset
+
+    def test_trailing_whitespace_parses(self, ring):
+        t1, t2, _ = ring.gens()
+        assert ring.parse("t1 + t2 ") == t1 + t2
+        assert ring.parse("t1 + t2 \t\n") == t1 + t2
+
     def test_exponent_cap(self, ring):
         with pytest.raises(PolyParseError, match="cap"):
             ring.parse("t1^10000000")

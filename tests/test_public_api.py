@@ -1,12 +1,18 @@
 """The documented entry points: the README's library quick start runs and
-prints what its comments say, and every exported name resolves."""
+prints what its comments say, every exported name resolves, and the public
+constructors refuse bad input with their own message."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import rghw
+from rghw import linalg
+from rghw.points import projective_zero_set
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 QUICK_START_OUTPUT = ["1 4 4 5", "2 6 6 6", "3 7 7 7"]
@@ -32,3 +38,53 @@ def test_every_exported_name_resolves():
     assert len(rghw.__all__) == len(set(rghw.__all__))
     for name in rghw.__all__:
         assert getattr(rghw, name) is not None, name
+
+
+TORUS = rghw.projective_torus(3, 3)
+REFUSALS = {
+    "code of degree 0": (
+        lambda: rghw.EvaluationCode(TORUS, 0),
+        ValueError, "degree must be at least 1, got 0"),
+    "subcode entry given as text": (
+        lambda: rghw.validate_subcode(rghw.build_code(TORUS, 1), ["t1"]),
+        ValueError, "expected a polynomial, got str"),
+    "float modulus": (
+        lambda: rghw.PrimeField(5.0),
+        TypeError, "modulus must be an int, got float"),
+    "rref of a vector": (
+        lambda: linalg.rref(np.arange(3), 5),
+        ValueError, "expected a 2-dimensional array, got shape (3,)"),
+    "points without coordinates": (
+        lambda: rghw.ProjectivePointSet(rghw.PrimeField(5), np.zeros((2, 0), dtype=np.int64)),
+        ValueError, "projective point needs a nonzero coordinate"),
+    "torus on a line": (
+        lambda: rghw.projective_torus(5, 1),
+        ValueError, "ambient dimension s must be at least 2, got 1"),
+    "cartesian set without factors": (
+        lambda: rghw.affine_cartesian(5, []),
+        ValueError, "need at least one factor"),
+    "cartesian set with an empty factor": (
+        lambda: rghw.affine_cartesian(5, [[0], []]),
+        ValueError, "factor 2 is empty"),
+    "projective space of no dimension": (
+        lambda: rghw.all_projective_points(5, 0),
+        ValueError, "ambient dimension s must be at least 1, got 0"),
+    "points text with only a comment": (
+        lambda: rghw.parse_points("# nothing\n", 5),
+        ValueError, "no points in input"),
+    "zero set in no dimension": (
+        lambda: projective_zero_set(5, 0, []),
+        ValueError, "ambient dimension s must be at least 1, got 0"),
+    "ring without variables": (
+        lambda: rghw.PolyRing(5, 0),
+        ValueError, "need at least one variable, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_public_constructors_refuse_bad_input(case):
+    build, error, message = REFUSALS[case]
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -386,8 +386,9 @@ def test_lifted_scan_matches_support_oracle(q, k1):
 @pytest.mark.parametrize("batch", [5, 64])
 def test_every_rank_of_a_group_matches_support_oracle(monkeypatch, batch):
     # one scan serves all ranks of a code; with a step of `batch` masks the
-    # families of the first pivots are streamed while the later pivots'
-    # families are sliced from their blocks, in the same group
+    # first pivots have no block, so row 0 streams their families and the
+    # later rows build theirs alone, while the last pivots' families are
+    # sliced from their blocks, in the same group
     monkeypatch.setattr(weights, "_SCAN_BATCH", batch)
     rng = random.Random(batch)
     mixed = 0
@@ -416,6 +417,19 @@ def test_group_scans_the_ranks_its_budget_admits():
             group.rank(r)
         assert err.value.needed == gaussian_binomial(10, r, 5)
     assert [group.rank(r).min_support for r in (1, 9, 10)] == [32, 63, 64]
+
+
+def test_top_rank_builds_no_block_past_one_step():
+    # degree-3 code on all of P^2/F_5 (k = 10, n = 31): at r = k the one
+    # subspace is C and each row family is one codeword, while the block of
+    # pivot 1 would hold 5^8 masks; only pivots whose blocks fit one step
+    # get a block, for this rank as for any other
+    code = build_code(all_projective_points(5, 3), 3)
+    assert code.k == 10
+    group = CandidateScan(code.generator_rows, code.q, [10])
+    assert group.rank(10) == (1, 0, 0, 31)
+    assert group.blocks
+    assert all(block.size <= weights._SCAN_BATCH * group.words for block in group.blocks.values())
 
 
 def test_scan_on_large_fields_matches_support_oracle():
