@@ -38,7 +38,7 @@ WEIGHTS_HEADER = (
 )
 BUDGET_MARK = "!"
 SOURCES = ("torus", "cartesian", "file", "ideal")
-FUNCTIONS = ("fp", "delta", "vasconcelos", "bruteforce")
+FUNCTIONS = ("fp", "delta", "vasconcelos")
 
 
 class ConfigError(Exception):
@@ -211,6 +211,9 @@ def _validate_config(config: ProblemConfig):
             )
         if not config.generators:
             raise ConfigError("ideal source needs generators")
+    for key, owner in (("factors", "cartesian"), ("points_file", "file"), ("generators", "ideal")):
+        if getattr(config, key) not in (None, ()) and config.source != owner:
+            raise ConfigError(f"{key} is read only with source = {owner}, not {config.source}")
     if config.factors is not None:
         derived = len(config.factors) + 1
         if config.s is None:
@@ -305,6 +308,9 @@ def load_problem(config: ProblemConfig, order, config_dir: Path) -> Problem:
             X = parse_points(text, config.q)
         except ValueError as exc:
             raise ConfigError(f"{config.points_file}: {exc}") from None
+        if config.s not in (None, X.s):
+            raise ConfigError(f"line {config.s_lineno}: s = {config.s} contradicts the "
+                              f"{X.s} coordinates of the points in {config.points_file}")
         return Problem(config, order, None, PolyRing(fieldq, X.s), X)
     ring = PolyRing(fieldq, config.s)
     gens = [_parse_generator(ring, g) for g in config.generators]
@@ -338,15 +344,14 @@ def require_points(problem: Problem) -> ProjectivePointSet:
     return problem.X
 
 
-def require_certified(problem: Problem):
-    if problem.given_ideal is None:
-        return
-    require_points(problem)
-    ok, lines = certification_report(problem)
-    if not ok:
-        raise ConfigError(
-            "ideal is not the vanishing ideal of its zero set; " + lines[-1]
-        )
+def require_certified(problem: Problem) -> ProjectivePointSet:
+    """The point set, once a supplied ideal certifies as its I_X."""
+    X = require_points(problem)
+    if problem.given_ideal is not None:
+        ok, lines = certification_report(problem)
+        if not ok:
+            raise ConfigError("ideal is not the vanishing ideal of its zero set; " + lines[-1])
+    return X
 
 
 def render(header, rows, fmt: str) -> str:
@@ -445,8 +450,7 @@ def _cells(where: str, result, *reads) -> list[str]:
 
 
 def cmd_weights(problem: Problem, args) -> tuple[str, int]:
-    X = require_points(problem)
-    require_certified(problem)
+    X = require_certified(problem)
     rows: list[list[str]] = []
     codes: dict = {}
     profiles: dict = {}
@@ -503,17 +507,17 @@ def cmd_weights(problem: Problem, args) -> tuple[str, int]:
 def cmd_matrix(problem: Problem, args) -> tuple[str, int]:
     config = problem.config
     if config.function is None:
-        raise ConfigError("matrix mode needs a function key (fp | delta | vasconcelos | bruteforce)")
+        raise ConfigError(f"matrix mode needs a function key ({' | '.join(FUNCTIONS)})")
     function = config.function
     if function != "fp":
-        X = require_points(problem)
-    if function in ("delta", "vasconcelos"):
-        require_certified(problem)
+        X = require_certified(problem)
     ideal = problem.working_ideal()
     _, degrees = _degrees(problem, ideal)
     if config.k1 and len(degrees) != 1:
         raise ConfigError("matrix mode with k1 > 0 needs a single degree (set dmax = 1)")
-    per_d: list[tuple[int, int, object, object]] = []
+    # one pass per degree: a subcode allows a single degree, so its config
+    # errors come before any budget line
+    rows = []
     for d in degrees:
         if function == "fp":
             # fp has no code, so G is checked for its degree but not for
@@ -524,32 +528,28 @@ def cmd_matrix(problem: Problem, args) -> tuple[str, int]:
                         f"subcode generator {poly.format(problem.order)} is not homogeneous "
                         f"of degree {d}"
                     )
-            per_d.append((d, ideal.hilbert_function(d) - config.k1, None, None))
+            rmax = ideal.hilbert_function(d) - config.k1
+            profile = _attempt(FootprintProfile, ideal, d, rmax, args.budget)
         else:
             code = build_code(X, d, problem.order)
             sub = _subcode_for(code, config.g_strings)
-            per_d.append((d, code.k - len(sub), code, sub))
-    rmax = max(entry[1] for entry in per_d)
-    if rmax < 1:
-        raise ConfigError("k1 leaves no valid rank anywhere in the degree range")
-    header = ("d",) + tuple(f"r{r}" for r in range(1, rmax + 1))
-    rows = []
-    for d, kk, code, sub in per_d:
-        if function == "fp":
-            profile = _attempt(FootprintProfile, ideal, d, kk, args.budget)
-        else:
-            scan = CandidateScan(code.generator_rows, code.q, range(1, kk + 1), sub, args.budget)
+            rmax = code.k - len(sub)
+            scan = CandidateScan(code.generator_rows, code.q, range(1, rmax + 1), sub, args.budget)
         cells = [str(d)]
         for r in range(1, rmax + 1):
             where = f"line {config.function_lineno}, d={d}, r={r}"
-            if r > kk:
-                cells.append("-")
-            elif function == "fp":
+            if function == "fp":
                 cells += _cells(where, profile, lambda p: p.value(r))
             else:
                 cells += _cells(where, _attempt(scan.rank, r), lambda found: found.min_support)
         rows.append(cells)
-    return _budgeted_output(header, rows, args.format)
+    width = max(map(len, rows))
+    if width < 2:
+        raise ConfigError("k1 leaves no valid rank anywhere in the degree range" if config.k1
+                          else "H(d) - k1 < 1 at every degree in the range, so no rank is valid")
+    header = ("d",) + tuple(f"r{r}" for r in range(1, width))
+    return _budgeted_output(header, [row + ["-"] * (width - len(row)) for row in rows],
+                            args.format)
 
 
 COMMANDS = {

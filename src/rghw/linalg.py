@@ -1,5 +1,5 @@
 """Dense linear algebra over a prime field F_q on numpy int64 arrays: row
-reduction, ranks, kernels, and Gaussian binomials.
+reduction, ranks, kernels, Gaussian binomials, and mixed-radix digits.
 
 Matrices hold representatives in [0, q).  Everything here is exact integer
 arithmetic as long as every sum of L products of two residues, at most
@@ -9,7 +9,7 @@ arithmetic as long as every sum of L products of two residues, at most
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt, log10
+from math import isqrt, log10, prod
 
 import numpy as np
 
@@ -43,6 +43,15 @@ def require_exact_int64(q: int, length: int = 1) -> None:
             f"q = {q} is too large for exact int64 arithmetic: "
             f"(q - 1)^2 * {length} must stay below 2^63, which needs q <= {limit}"
         )
+
+
+def digits(lo: int, hi: int, radix) -> np.ndarray:
+    """The mixed-radix digits of lo..hi-1, most significant first: row i
+    holds those of lo + i, whose digit j lies in [0, radix[j])."""
+    # place values as Python ints: an int64 cumulative product would wrap
+    place = [prod(radix[j + 1 :]) for j in range(len(radix))]
+    numbers = np.arange(lo, hi, dtype=np.int64)[:, None]
+    return numbers // np.array(place, dtype=np.int64) % np.array(radix, dtype=np.int64)
 
 
 def rref(matrix, q: int):

@@ -11,7 +11,8 @@ from math import prod
 
 import numpy as np
 
-from .polyring import divides, format_monomial, monomial
+from .linalg import digits
+from .polyring import divides, format_monomial, monomial, monomials_of_degree
 
 
 class UnsupportedDimensionError(ValueError):
@@ -112,33 +113,9 @@ class MonomialIdeal:
         return 0
 
     def degree_slice(self, d: int) -> list[tuple[int, ...]]:
-        """Standard monomials (monomials outside J) of total degree d."""
-        if d < 0:
-            raise ValueError(f"degree must be nonnegative, got {d}")
-        if self.is_unit():
-            return []
-        caps = [
-            d if e is None else min(d, e - 1) for e in self.pure_power_exponents()
-        ]
-        out: list[tuple[int, ...]] = []
-        exps = [0] * self.nvars
-
-        def walk(pos: int, remaining: int):
-            if pos == self.nvars - 1:
-                if remaining <= caps[pos]:
-                    exps[pos] = remaining
-                    m = tuple(exps)
-                    if not self.contains(m):
-                        out.append(m)
-                    exps[pos] = 0
-                return
-            for e in range(min(remaining, caps[pos]) + 1):
-                exps[pos] = e
-                walk(pos + 1, remaining - e)
-            exps[pos] = 0
-
-        walk(0, d)
-        return out
+        """Standard monomials (monomials outside J) of total degree d, in
+        increasing lexicographic order."""
+        return sorted(m for m in monomials_of_degree(self.nvars, d) if not self.contains(m))
 
     def hilbert_function(self, d: int) -> int:
         return len(self.degree_slice(d))
@@ -171,14 +148,10 @@ def _standard_cells(gens: np.ndarray, caps, top: int | None = None) -> np.ndarra
     no row of gens divides, as rows of an array in lexicographic order.  The
     grid is swept _GRID_BATCH cells at a time."""
     radix = [c + 1 for c in caps]
-    strides = [prod(radix[j + 1 :]) for j in range(len(radix))]
     size = prod(radix)
     out = []
     for lo in range(0, size, _GRID_BATCH):
-        idx = np.arange(lo, min(lo + _GRID_BATCH, size), dtype=np.int64)
-        cells = idx[:, None] // np.array(strides, dtype=np.int64) % np.array(
-            radix, dtype=np.int64
-        )
+        cells = digits(lo, min(lo + _GRID_BATCH, size), radix)
         if top is not None:
             cells = cells[cells.sum(axis=1) <= top]
         inside = np.zeros(len(cells), dtype=bool)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .field import PrimeField
 from .groebner import Ideal
-from .linalg import count_text, require_exact_int64, rref
+from .linalg import count_text, digits, require_exact_int64, rref
 from .monideal import MonomialIdeal, monomial_quotient_degree
 from .polyring import GREVLEX, MonomialOrder, PolyRing, Polynomial, monomial
 
@@ -108,13 +108,6 @@ def _require_enumerable(count: int) -> None:
                          f"at most {MAX_POINTS} can be enumerated")
 
 
-def _digits(lo: int, hi: int, width: int, q: int) -> np.ndarray:
-    """The base-q digits of lo..hi-1, most significant first, as the rows
-    of an int64 array of the given width."""
-    place = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    return np.arange(lo, hi, dtype=np.int64)[:, None] // place % q
-
-
 def _lex_grid(sets) -> np.ndarray:
     """The tuples of product(*sets), in that (lexicographic) order, as the
     rows of an int64 array."""
@@ -155,10 +148,7 @@ def all_projective_points(q: int, s: int) -> ProjectivePointSet:
     if s < 1:
         raise ValueError(f"ambient dimension s must be at least 1, got {s}")
     _require_enumerable((q**s - 1) // (q - 1))
-    blocks = [
-        _lex_grid([[0]] * lead + [[1]] + [range(q)] * (s - 1 - lead)) for lead in range(s)
-    ]
-    return ProjectivePointSet(field, np.vstack(blocks))
+    return ProjectivePointSet(field, projective_zero_set(q, s, ()))
 
 
 def parse_points(text: str, q: int) -> ProjectivePointSet:
@@ -365,10 +355,10 @@ _SEARCH_STEP = 1 << 16
 def projective_zero_set(q: int, s: int, polys) -> np.ndarray:
     """The points of P^{s-1}(F_q) at which every polynomial in the list
     vanishes, in standard position and lexicographic order, as the rows of
-    an (m, s) array: zero_set over all_projective_points without building
-    the whole space.  The chart of the points whose first nonzero coordinate
-    is coordinate `lead` is searched in steps of at most _SEARCH_STEP points,
-    keeping only the zeros.  A space of more than MAX_SEARCHED points, or a
+    an (m, s) array, without building the whole space; with no polynomials
+    it is the whole space (all_projective_points).  The chart of the points
+    whose first nonzero coordinate is coordinate `lead` is searched in steps
+    of at most _SEARCH_STEP points, keeping only the zeros.  A space of more than MAX_SEARCHED points, or a
     zero set of more than MAX_POINTS, is refused with ValueError."""
     PrimeField(q)  # refuses a q that is not prime
     if s < 1:
@@ -389,9 +379,9 @@ def projective_zero_set(q: int, s: int, polys) -> np.ndarray:
         per = min(_SEARCH_STEP // q**tail, heads)
         grid = np.zeros((per, q**tail, s), dtype=np.int64)
         grid[:, :, lead] = 1
-        grid[:, :, s - tail :] = _digits(0, q**tail, tail, q)
+        grid[:, :, s - tail :] = digits(0, q**tail, [q] * tail)
         for lo in range(0, heads, per):
-            head = _digits(lo, min(lo + per, heads), free - tail, q)
+            head = digits(lo, min(lo + per, heads), [q] * (free - tail))
             grid[: len(head), :, lead + 1 : s - tail] = head[:, None]
             chunk = grid[: len(head)].reshape(-1, s)
             found = _vanishing(chunk, q, polys)

@@ -43,6 +43,19 @@ def lcm(a, b) -> tuple[int, ...]:
     return tuple(map(max, a, b))
 
 
+def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
+    """All monomials in nvars variables of total degree d, unsorted."""
+    if d < 0:
+        raise ValueError(f"degree must be nonnegative, got {d}")
+    out = []
+    for combo in combinations_with_replacement(range(nvars), d):
+        exps = [0] * nvars
+        for i in combo:
+            exps[i] += 1
+        out.append(tuple(exps))
+    return out
+
+
 def format_monomial(m) -> str:
     parts = (f"t{i + 1}" if e == 1 else f"t{i + 1}^{e}" for i, e in enumerate(m) if e)
     return "*".join(parts) or "1"
@@ -141,15 +154,7 @@ class PolyRing:
 
     def monomials_of_degree(self, d: int) -> list[tuple[int, ...]]:
         """All monomials of total degree d, unsorted."""
-        if d < 0:
-            raise ValueError(f"degree must be nonnegative, got {d}")
-        out = []
-        for combo in combinations_with_replacement(range(self.nvars), d):
-            exps = [0] * self.nvars
-            for i in combo:
-                exps[i] += 1
-            out.append(tuple(exps))
-        return out
+        return monomials_of_degree(self.nvars, d)
 
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(text, self)

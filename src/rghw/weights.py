@@ -14,7 +14,7 @@ import numpy as np
 
 from .codes import BudgetExceededError, EvaluationCode
 from .groebner import Ideal
-from .linalg import gaussian_binomial, matrix_rank, require_exact_int64, rref
+from .linalg import digits, gaussian_binomial, matrix_rank, require_exact_int64, rref
 
 
 class FootprintProfile:
@@ -372,12 +372,14 @@ def _zero_masks(base: np.ndarray, dirs: np.ndarray, q: int, words: int):
     span = _span(-dirs[:tail_len] % q, q, dtype)
     tail = np.full((len(span), 64 * words), q, dtype=dtype)
     tail[:, :n] = span
-    heads = q ** (len(dirs) - tail_len)
+    # digits come most significant first, so the head directions run last first
+    head_dirs = dirs[tail_len:][::-1]
+    heads = q ** len(head_dirs)
     step = max(1, _SCAN_BATCH // len(tail))
     for lo in range(0, heads, step):
-        coeffs = _digits(lo, min(lo + step, heads), len(dirs) - tail_len, q)
+        coeffs = digits(lo, min(lo + step, heads), [q] * len(head_dirs))
         head = np.zeros((len(coeffs), 64 * words), dtype=dtype)
-        head[:, :n] = (base + coeffs @ dirs[tail_len:]) % q
+        head[:, :n] = (base + coeffs @ head_dirs) % q
         zero = head[:, None, :] == tail
         yield np.packbits(zero, bitorder="little").view(np.uint64).reshape(-1, words)
 
@@ -412,12 +414,6 @@ def _span(dirs: np.ndarray, q: int, dtype) -> np.ndarray:
         out = (multiples[:, None] + out).reshape(-1, dirs.shape[1])
         np.minimum(out, out - dtype.type(q), out=out)
     return out
-
-
-def _digits(lo: int, hi: int, width: int, q: int) -> np.ndarray:
-    """Base-q digit vectors, of the given width, of the integers lo..hi-1."""
-    idx = np.arange(lo, hi, dtype=np.int64)
-    return idx[:, None] // q ** np.arange(width, dtype=np.int64) % q
 
 
 def rgmdf(

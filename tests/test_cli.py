@@ -210,8 +210,7 @@ CONFIG_ERRORS = {
     "empty generators": ("hilbert", "q = 3\ns = 3\nsource = ideal\ngenerators = ;\n",
                          "line 4: generators list is empty"),
     "unknown function": ("hilbert", TORUS_KEYS + "function = magic\n",
-                         "line 4: function must be one of fp, delta, vasconcelos, bruteforce, "
-                         "got 'magic'"),
+                         "line 4: function must be one of fp, delta, vasconcelos, got 'magic'"),
     "unknown query key": ("hilbert", TORUS_KEYS + "[query]\nd = 1\nx = 1\n",
                           "line 6: unknown query key 'x'"),
     "no q": ("hilbert", "s = 3\nsource = torus\n", "missing required key: q"),
@@ -255,6 +254,22 @@ CONFIG_ERRORS = {
     "matrix subcode fills the code": ("matrix", TORUS_KEYS + "function = delta\ndmax = 1\n"
                                       "k1 = 3\nG = t1 ; t2 ; t3\n",
                                       "k1 leaves no valid rank anywhere in the degree range"),
+    "fp matrix of a finite quotient": ("matrix", "q = 3\ns = 3\nsource = ideal\n"
+                                       "generators = t1 ; t2 ; t3\nfunction = fp\n",
+                                       "H(d) - k1 < 1 at every degree in the range, "
+                                       "so no rank is valid"),
+    "factors on a torus": ("hilbert", TORUS_KEYS + "factors = 0 1 ; 0 1\n",
+                           "factors is read only with source = cartesian, not torus"),
+    "points_file on an ideal": ("hilbert", "q = 3\ns = 3\nsource = ideal\ngenerators = t1\n"
+                                "points_file = empty.txt\n",
+                                "points_file is read only with source = file, not ideal"),
+    "generators on a file": ("hilbert", "q = 3\nsource = file\npoints_file = plane.txt\n"
+                             "generators = t1\n",
+                             "generators is read only with source = ideal, not file"),
+    "s against a points file": ("hilbert", "q = 3\ns = 5\nsource = file\n"
+                                "points_file = plane.txt\n",
+                                "line 2: s = 5 contradicts the 3 coordinates of the points "
+                                "in plane.txt"),
 }
 
 
@@ -262,6 +277,7 @@ CONFIG_ERRORS = {
 def test_config_error_exits_2_with_its_message(capsys, tmp_path, case):
     command, text, message = CONFIG_ERRORS[case]
     (tmp_path / "empty.txt").write_text("# nothing\n")
+    (tmp_path / "plane.txt").write_text("1:0:0\n0:1:0\n0:0:1\n")
     (tmp_path / "bad.cfg").write_text(text)
     message = message.format(dir=tmp_path.resolve())
     assert run(capsys, [command, "--config", str(tmp_path / "bad.cfg")]) == (
@@ -729,9 +745,9 @@ SCAN_MATRIX_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(SCAN_MATRIX_CASES))
-@pytest.mark.parametrize("function", ["delta", "vasconcelos", "bruteforce"])
+@pytest.mark.parametrize("function", ["delta", "vasconcelos"])
 def test_matrix_scan_functions_golden(capsys, tmp_path, function, case):
-    # on vanishing ideals the three scan functions print the same grid
+    # on vanishing ideals the two scan functions print the same grid
     text, extra, status, out, err = SCAN_MATRIX_CASES[case]
     (tmp_path / "m.cfg").write_text(text.format(f=function))
     argv = ["matrix", "--config", str(tmp_path / "m.cfg"), "--format", "csv"] + extra
@@ -749,9 +765,13 @@ def test_matrix_certification_gates_delta_and_vasconcelos_only(capsys, tmp_path)
             "config error: ideal is not the vanishing ideal of its zero set; "
             "I_X <= I: FAIL at t2\n",
         )
+    # bruteforce, delta without the gate, is no longer a function
     cfg.write_text(base.format(f="bruteforce"))
     assert run(capsys, ["matrix", "--config", str(cfg)]) == (
-        0, "d  r1\n1   1\n2   1\n", "")
+        2, "",
+        "config error: line 5: function must be one of fp, delta, vasconcelos, "
+        "got 'bruteforce'\n",
+    )
 
 
 @pytest.mark.parametrize("entry, message", [

@@ -6,7 +6,14 @@ import pytest
 
 from oracles import all_vectors, iter_subspace_batches, projective_reps
 
-from rghw.linalg import gaussian_binomial, kernel_basis, matrix_rank, require_exact_int64, rref
+from rghw.linalg import (
+    digits,
+    gaussian_binomial,
+    kernel_basis,
+    matrix_rank,
+    require_exact_int64,
+    rref,
+)
 
 
 def span_size(rows, q):
@@ -146,6 +153,18 @@ def test_all_vectors():
     assert V.shape == (27, 3)
     assert len({v.tobytes() for v in V}) == 27
     assert all_vectors(0, 5).shape == (1, 0)
+
+
+@pytest.mark.parametrize("radix", [[], [1], [4], [2, 3], [3, 1, 2], [1, 1], [5, 2, 1, 3]])
+def test_digits_count_in_mixed_radix(radix):
+    # most significant digit first: the rows of itertools.product, in order,
+    # for every window lo..hi
+    rows = [list(t) for t in product(*map(range, radix))]
+    for lo in range(len(rows) + 1):
+        for hi in range(lo, len(rows) + 1):
+            got = digits(lo, hi, radix)
+            assert got.shape == (hi - lo, len(radix)) and got.dtype == np.int64
+            assert got.tolist() == rows[lo:hi]
 
 
 def test_int64_bound_refuses_large_moduli():

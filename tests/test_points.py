@@ -24,7 +24,7 @@ from rghw.points import (
 )
 from rghw.polyring import GREVLEX, GRLEX, LEX, PolyRing
 
-from oracles import ideal_equal, vanishing_ideal_by_buchberger
+from oracles import ideal_equal, projective_reps, vanishing_ideal_by_buchberger
 
 
 def random_point_set(rng, q, s, n):
@@ -276,14 +276,17 @@ def test_zero_set_examples():
 
 @pytest.mark.parametrize("step", [1, 4, 7, 1 << 16])
 def test_projective_zero_set_matches_the_whole_space(monkeypatch, step, seed=3061):
-    # the chart-by-chart search finds the zero set that filtering all of
-    # P^(s-1)(F_q) finds, in the same order, whether a step holds part of
-    # one coordinate's values, several heads, or a whole chart
+    # the chart-by-chart search finds the zero set that filtering every
+    # representative of P^(s-1)(F_q) finds, in the same order, whether a
+    # step holds part of one coordinate's values, several heads, or a whole
+    # chart
     monkeypatch.setattr(points, "_SEARCH_STEP", step)
     rng = random.Random(seed)
     for q, s in ((2, 4), (3, 3), (5, 2), (5, 3), (2, 1)):
         ring = PolyRing(PrimeField(q), s)
-        space = all_projective_points(q, s)
+        space = ProjectivePointSet(PrimeField(q), projective_reps(s, q))
+        # with no polynomials the search is the whole space, row for row
+        assert all_projective_points(q, s).coords.tolist() == space.coords.tolist()
         for _ in range(4):
             polys = []
             for _ in range(rng.randrange(0, 3)):

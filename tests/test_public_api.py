@@ -1,6 +1,7 @@
 """The documented entry points: the README's library quick start runs and
-prints what its comments say, every exported name resolves, and the public
-constructors refuse bad input with their own message."""
+prints what its comments say, its list of matrix functions is the CLI's,
+every exported name resolves, and the public constructors refuse bad input
+with their own message."""
 
 import contextlib
 import io
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import rghw
-from rghw import linalg
+from rghw import cli, linalg
 from rghw.points import projective_zero_set
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -32,6 +33,11 @@ def test_readme_quick_start_prints_its_commented_output():
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     assert out.getvalue().splitlines() == QUICK_START_OUTPUT
+
+
+def test_readme_lists_the_matrix_functions():
+    listed = re.findall(r"`function = ([^`]*)`", README.read_text())
+    assert listed and all(tuple(entry.split(" | ")) == cli.FUNCTIONS for entry in listed)
 
 
 def test_every_exported_name_resolves():
