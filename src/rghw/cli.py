@@ -515,8 +515,10 @@ def cmd_matrix(problem: Problem, args) -> tuple[str, int]:
     _, degrees = _degrees(problem, ideal)
     if config.k1 and len(degrees) != 1:
         raise ConfigError("matrix mode with k1 > 0 needs a single degree (set dmax = 1)")
-    # one pass per degree: a subcode allows a single degree, so its config
-    # errors come before any budget line
+    # every code is built before any scan, so a config error (a subcode's, or
+    # a q too large for a later code's length) comes before any budget line
+    if function != "fp":
+        codes = {d: build_code(X, d, problem.order) for d in degrees}
     rows = []
     for d in degrees:
         if function == "fp":
@@ -531,7 +533,7 @@ def cmd_matrix(problem: Problem, args) -> tuple[str, int]:
             rmax = ideal.hilbert_function(d) - config.k1
             profile = _attempt(FootprintProfile, ideal, d, rmax, args.budget)
         else:
-            code = build_code(X, d, problem.order)
+            code = codes[d]
             sub = _subcode_for(code, config.g_strings)
             rmax = code.k - len(sub)
             scan = CandidateScan(code.generator_rows, code.q, range(1, rmax + 1), sub, args.budget)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from operator import add, index, le, sub
-from itertools import combinations_with_replacement
 
 from .field import PrimeField
 
@@ -43,16 +42,27 @@ def lcm(a, b) -> tuple[int, ...]:
     return tuple(map(max, a, b))
 
 
-def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
-    """All monomials in nvars variables of total degree d, unsorted."""
+def monomials_of_degree(nvars: int, d: int, caps=None) -> list[tuple[int, ...]]:
+    """The monomials in nvars >= 1 variables of total degree d, in increasing
+    lexicographic order; with caps, only those whose exponent j is at most
+    caps[j]."""
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
-    out = []
-    for combo in combinations_with_replacement(range(nvars), d):
-        exps = [0] * nvars
-        for i in combo:
-            exps[i] += 1
-        out.append(tuple(exps))
+    caps = [d] * nvars if caps is None else caps
+    out: list[tuple[int, ...]] = []
+    exps = [0] * nvars
+
+    def walk(pos: int, remaining: int):
+        if pos == nvars - 1:
+            if remaining <= caps[pos]:
+                exps[pos] = remaining
+                out.append(tuple(exps))
+            return
+        for e in range(min(remaining, caps[pos]) + 1):
+            exps[pos] = e
+            walk(pos + 1, remaining - e)
+
+    walk(0, d)
     return out
 
 
@@ -153,7 +163,7 @@ class PolyRing:
         return Polynomial(self, clean)
 
     def monomials_of_degree(self, d: int) -> list[tuple[int, ...]]:
-        """All monomials of total degree d, unsorted."""
+        """All monomials of total degree d, in increasing lexicographic order."""
         return monomials_of_degree(self.nvars, d)
 
     def parse(self, text: str) -> "Polynomial":

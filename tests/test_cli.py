@@ -270,6 +270,13 @@ CONFIG_ERRORS = {
                                 "points_file = plane.txt\n",
                                 "line 2: s = 5 contradicts the 3 coordinates of the points "
                                 "in plane.txt"),
+    # the degree-1 code passes and its rank-1 scan would run over budget; the
+    # degree-2 code (k = 3) is too long for q, and is refused before any scan
+    "q too large for a later code": ("matrix", "q = 2147483647\nsource = file\n"
+                                     "points_file = line.txt\nfunction = delta\ndmax = 2\n",
+                                     "q = 2147483647 is too large for exact int64 arithmetic: "
+                                     "(q - 1)^2 * 3 must stay below 2^63, which needs "
+                                     "q <= 1753413057"),
 }
 
 
@@ -278,6 +285,7 @@ def test_config_error_exits_2_with_its_message(capsys, tmp_path, case):
     command, text, message = CONFIG_ERRORS[case]
     (tmp_path / "empty.txt").write_text("# nothing\n")
     (tmp_path / "plane.txt").write_text("1:0:0\n0:1:0\n0:0:1\n")
+    (tmp_path / "line.txt").write_text("1:0\n0:1\n1:1\n")
     (tmp_path / "bad.cfg").write_text(text)
     message = message.format(dir=tmp_path.resolve())
     assert run(capsys, [command, "--config", str(tmp_path / "bad.cfg")]) == (

@@ -5,6 +5,7 @@ routes."""
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -175,6 +176,19 @@ def test_degree_slice_enumerates_standard_monomials():
         assert got == sorted(want)
     with pytest.raises(ValueError):
         J.degree_slice(-1)
+
+
+def test_degree_slice_walks_only_below_the_pure_powers():
+    # J = (t1, ..., t9) in 10 variables leaves one standard monomial in each
+    # degree, among C(d + 9, 9) monomials (211 million at d = 30): the walk
+    # must follow the pure-power caps, not filter every monomial
+    J = MonomialIdeal(10, [tuple(int(i == j) for i in range(10)) for j in range(9)])
+    start = time.perf_counter()
+    assert [J.hilbert_function(d) for d in range(31)] == [1] * 31
+    assert J.degree_slice(30) == [(0,) * 9 + (30,)]
+    assert time.perf_counter() - start < 1.0
+    # the unit ideal has no standard monomials, in any degree
+    assert MonomialIdeal(3, [M(0, 0, 0)]).degree_slice(0) == []
 
 
 def test_hilbert_values_of_two_pure_powers():

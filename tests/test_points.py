@@ -121,6 +121,17 @@ def test_single_point_vanishing_ideal():
     assert ideal.quotient_summary().reg_index == 0
 
 
+def test_collinear_points_reach_a_high_regularity_fast():
+    # 30 points on a line of P^9/F_31: t3..t10 lead from degree 1 on, so each
+    # later degree has d + 1 standard monomials, up to the regularity index 29
+    X = ProjectivePointSet(PrimeField(31), [(1, a) + (0,) * 8 for a in range(30)])
+    start = time.perf_counter()
+    ideal = X.vanishing_ideal()
+    assert ideal.quotient_summary().reg_index == 29
+    assert sorted(g.degree() for g in ideal.groebner_basis()) == [1] * 8 + [30]
+    assert time.perf_counter() - start < 5.0
+
+
 def test_torus_ideals_match_binomial_presentations():
     X2 = projective_torus(5, 3)
     ring3 = PolyRing(PrimeField(5), 3)
