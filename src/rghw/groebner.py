@@ -115,8 +115,6 @@ class Ideal:
         self.order = order
         clean = []
         for g in gens:
-            if isinstance(g, str):
-                g = ring.parse(g)
             if not isinstance(g, Polynomial) or g.ring != ring:
                 raise ValueError(f"generator {g!r} does not live in {ring!r}")
             if not g.is_zero():
@@ -151,8 +149,6 @@ class Ideal:
         return self._gb
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        if isinstance(f, str):
-            f = self.ring.parse(f)
         return normal_form(f, self.groebner_basis(), self.order)
 
     def __contains__(self, f) -> bool:

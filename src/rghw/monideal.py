@@ -98,19 +98,19 @@ class MonomialIdeal:
     def dimension(self) -> int:
         """Krull dimension of S/J: the largest number of variables spanning a
         coordinate subspace that avoids every generator.  -1 for the unit
-        ideal (the zero ring)."""
+        ideal (the zero ring).  Every subset of an avoiding set avoids too,
+        so sizes are tried up from 1 until no subset of a size avoids."""
         if self.is_unit():
             return -1
         supports = {
             frozenset(j for j, e in enumerate(g) if e) for g in self.gens
         }
         minimal = [s for s in supports if not any(t < s for t in supports)]
-        for size in range(self.nvars, -1, -1):
-            for subset in combinations(range(self.nvars), size):
-                chosen = set(subset)
-                if not any(s <= chosen for s in minimal):
-                    return size
-        return 0
+        for size in range(1, self.nvars + 1):
+            subsets = map(set, combinations(range(self.nvars), size))
+            if all(any(s <= chosen for s in minimal) for chosen in subsets):
+                return size - 1
+        return self.nvars
 
     def degree_slice(self, d: int) -> list[tuple[int, ...]]:
         """Standard monomials (monomials outside J) of total degree d, in
@@ -147,9 +147,17 @@ def _exponent_array(monomials, nvars: int) -> np.ndarray:
 
 def _standard_cells(gens: np.ndarray, caps, top: int | None = None) -> np.ndarray:
     """The cells u with 0 <= u_j <= caps[j] (and |u| <= top when given) that
-    no row of gens divides, as rows of an array in lexicographic order.  The
-    grid is swept _GRID_BATCH cells at a time."""
+    no row of gens divides, as rows of an array in lexicographic order.  A
+    pure power row t_j^e caps u_j below e, and a zero row leaves no cell, so
+    the grid swept, _GRID_BATCH cells at a time, stays inside the powers."""
     radix = [c + 1 for c in caps]
+    for g in gens:
+        support = np.flatnonzero(g)
+        if not len(support):
+            return np.zeros((0, len(caps)), dtype=np.int64)
+        if len(support) == 1:
+            j = support[0]
+            radix[j] = min(radix[j], int(g[j]))
     size = prod(radix)
     out = []
     for lo in range(0, size, _GRID_BATCH):
@@ -194,21 +202,21 @@ def monomial_quotient_degree(ideal: MonomialIdeal) -> GradedQuotientSummary:
     and every standard monomial of degree at least D - nvars + 1 has exactly
     one: it lies on a ray of FootprintRays.  H is therefore the ray count
     from D - nvars + 1 on, and the last two values must agree.  The cells
-    counted are those of the grid capped at the pure powers and at D + 1.
+    counted are those of the grid capped at D + 1 (and, inside
+    _standard_cells, below the pure powers).
     """
     if ideal.is_unit():
         return GradedQuotientSummary((0,), 0, 0, None)
     dim = _dimension_at_most_one(ideal)
     gens = _exponent_array(ideal.gens, ideal.nvars)
-    powers = ideal.pure_power_exponents()
+    maxima = gens.max(axis=0, initial=0).tolist()
     if dim == 0:
-        cells = _standard_cells(gens, [p - 1 for p in powers])
+        cells = _standard_cells(gens, maxima)
         values = np.bincount(cells.sum(axis=1)).tolist() + [0]
         return GradedQuotientSummary(tuple(values), 0, sum(values), None)
-    box = int(gens.max(axis=0, initial=0).sum())
+    box = sum(maxima)
     top = box + 1
-    caps = [top if p is None else min(p - 1, top) for p in powers]
-    degrees = _standard_cells(gens, caps, top).sum(axis=1)
+    degrees = _standard_cells(gens, [top] * ideal.nvars, top).sum(axis=1)
     values = np.bincount(degrees, minlength=top + 1).tolist()
     if values[box] != values[box + 1]:
         raise RuntimeError(

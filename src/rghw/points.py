@@ -294,11 +294,9 @@ def vanishing_ideal(X: ProjectivePointSet, order: MonomialOrder = GREVLEX) -> Id
             if col in pivot_set:
                 continue
             terms = {m: 1}
-            for i, pc in enumerate(pivots):
-                if pc > col:
-                    break
-                if R[i, col]:
-                    terms[monomials[pc]] = q - int(R[i, col])
+            # only rows whose pivot lies left of col are nonzero there
+            for i in np.flatnonzero(R[:, col]).tolist():
+                terms[monomials[pivots[i]]] = q - int(R[i, col])
             basis.append(Polynomial(ring, terms))
             leads.append(m)
         initial = MonomialIdeal(ring.nvars, leads)

@@ -234,19 +234,19 @@ class CandidateScan:
     rows.  The common zero set of D is the AND of its rows' zero sets, so
     the pass takes each row family's zero sets as bitmasks over X and
     visits every subspace as one AND across rows and one popcount.  Row 0's
-    family is the largest (its free columns contain every later row's) and
-    sits on the contiguous axis, while the later rows' families, found by a
+    family is the largest (its free columns contain every later row's), so
+    `_and_blocks` takes it last.  The later rows' families, found by a
     depth-first walk from the last pivot, are held while their patterns are
-    visited and combined in blocks (`_and_blocks`) that drop masks already
-    empty; each pattern's blocks are formed once, for all of row 0's pivots.
+    visited; their ANDs are formed once per pattern, empty ones dropped.
 
-    Each pivot p from `first_block` on, whose q^(k - 1 - p) codewords
-    off[p] + sum_(j > p) v_j off[j] + L C_1 fit one numpy step, gets one
-    block of their zero masks, built on first use, with one axis per v_j;
-    the family (p, later) is its slice with the digits at `later` set to 0.
-    Below `first_block`, row 0 streams its families from `_zero_masks` and
-    a later row builds its own alone: p's block could dwarf it (at
-    r = k - k1 the family at p = 1 is q^k1 masks, the block q^(k - 2)).
+    A family lists its codewords in `digits` order, its first direction most
+    significant.  Each pivot p from `first_block` on, whose q^(k - 1 - p)
+    codewords off[p] + sum_(j > p) v_j off[j] + L C_1 fit one numpy step,
+    gets one block of their zero masks, built on first use, with one axis
+    per v_j; the family (p, later) is its slice with the digits at `later`
+    set to 0.  Below `first_block`, families are built alone, and row 0's
+    streamed: p's block could dwarf them (at r = k - k1 the family at p = 1
+    is q^k1 masks, the block q^(k - 2)).
 
     G, a (k, n) array of residues mod the prime q with independent rows,
     generates any linear code; `sub`, independent (k1, k) coefficient rows
@@ -289,8 +289,11 @@ class CandidateScan:
         self.sub_evals = np.matmul(sub, G) % q
 
     def family(self, p: int, later: tuple[int, ...]) -> np.ndarray:
-        """The zero masks of row family (p, later), p >= `first_block`, as one
-        array: the slice of p's one-step block with the digits at `later` 0."""
+        """The zero masks of row family (p, later), as one array in the order
+        of `stream`: from `first_block` on, the slice of p's one-step block
+        with the digits at `later` 0; below it, the steps of `stream` joined."""
+        if p < self.first_block:
+            return np.concatenate(list(self.stream(p, later)))
         if p not in self.blocks:
             [masks] = self.stream(p, ())
             # one axis per off-pivot direction, then one for all of L C_1
@@ -299,10 +302,10 @@ class CandidateScan:
         return self.blocks[p][cut].reshape(-1, self.words)
 
     def stream(self, p: int, later: tuple[int, ...]):
-        """The `_zero_masks` steps of row family (p, later), its directions
-        reversed so that axis t of p's block is direction t."""
+        """The `_zero_masks` steps of row family (p, later), its directions in
+        order, so axis t of p's block is direction p + 1 + t, the last L C_1."""
         free = [j for j in range(p + 1, self.width) if j not in later]
-        dirs = np.concatenate([self.off[free], self.sub_evals])[::-1]
+        dirs = np.concatenate([self.off[free], self.sub_evals])
         return _zero_masks(self.off[p], dirs, self.q, self.words)
 
     def rank(self, r: int) -> RankCounts:
@@ -313,18 +316,13 @@ class CandidateScan:
             raise BudgetExceededError(total, self.budget)
         family_count = max_vanishing = 0
         for row0, outer in self._visits(r - 1, (), []):
-            # one subspace per (outer AND, row-0 mask) pair
-            for block in _and_blocks(outer, self.words):
-                for ilo in range(0, len(row0), _SCAN_BATCH):
-                    part = row0[ilo : ilo + _SCAN_BATCH]
-                    step = max(1, _SCAN_BATCH // len(part))
-                    for lo in range(0, len(block), step):
-                        common = block[lo : lo + step, None] & part
-                        vanishing = np.bitwise_count(common)
-                        if self.words > 1:
-                            vanishing = vanishing.sum(axis=-1)
-                        family_count += int(np.count_nonzero(vanishing))
-                        max_vanishing = max(max_vanishing, int(vanishing.max()))
+            # one subspace per AND of the outer rows' masks and a row-0 mask
+            for common in _and_blocks(outer + [row0], self.words):
+                vanishing = np.bitwise_count(common)
+                if self.words > 1:
+                    vanishing = vanishing.sum(axis=-1)
+                family_count += int(np.count_nonzero(vanishing))
+                max_vanishing = max(max_vanishing, int(vanishing.max()))
         return RankCounts(total, family_count, max_vanishing, self.n - max_vanishing)
 
     def _visits(self, i: int, later: tuple[int, ...], outer: list[np.ndarray]):
@@ -336,8 +334,7 @@ class CandidateScan:
         pivots = range(i, later[0] if later else self.width)
         if i:
             for p in pivots:
-                masks = (self.family(p, later) if p >= self.first_block
-                         else np.concatenate(list(self.stream(p, later))))
+                masks = self.family(p, later)
                 yield from self._visits(i - 1, (p,) + later, outer + [masks[masks.any(axis=1)]])
             return
         for p in pivots:
@@ -356,62 +353,60 @@ _SCAN_BATCH = 1 << 14
 def _zero_masks(base: np.ndarray, dirs: np.ndarray, q: int, words: int):
     """Zero sets of the codewords base + sum_t v_t dirs[t] mod q, for v in
     F_q^len(dirs), as bitmasks of `words` uint64 words: yields arrays of
-    shape (c, words), at most _SCAN_BATCH codewords each, in little-endian
-    digit order (codeword number sum_t v_t q^t), so the steps joined reshape
-    to one axis per direction, the last direction first.
+    shape (c, words), at most _SCAN_BATCH codewords each, in the order of
+    `digits` (dirs[0] most significant), so the steps joined reshape to one
+    axis per direction, in order.
 
-    v splits into a tail, its first digits, and a head, the rest: a codeword
+    v splits into a head, its first digits, and a tail, the rest: a codeword
     vanishes at a point exactly where the head's value there equals minus
     the tail's, so each step compares a block of heads with every tail, in
     the smallest unsigned type that holds 2q.  Both are padded to 64 * words
     columns, heads with 0 and tails with q, which no residue equals, so each
     comparison fills whole mask words that `packbits` turns into masks."""
     n = len(base)
-    tail_len = max(t for t in range(len(dirs) + 1) if q**t <= _SCAN_BATCH)
+    head_len = len(dirs) - max(t for t in range(len(dirs) + 1) if q**t <= _SCAN_BATCH)
     dtype = np.min_scalar_type(2 * q)
-    span = _span(-dirs[:tail_len] % q, q, dtype)
+    span = _span(-dirs[head_len:] % q, q, dtype)
     tail = np.full((len(span), 64 * words), q, dtype=dtype)
     tail[:, :n] = span
-    # digits come most significant first, so the head directions run last first
-    head_dirs = dirs[tail_len:][::-1]
-    heads = q ** len(head_dirs)
+    heads = q**head_len
     step = max(1, _SCAN_BATCH // len(tail))
     for lo in range(0, heads, step):
-        coeffs = digits(lo, min(lo + step, heads), [q] * len(head_dirs))
+        coeffs = digits(lo, min(lo + step, heads), [q] * head_len)
         head = np.zeros((len(coeffs), 64 * words), dtype=dtype)
-        head[:, :n] = (base + coeffs @ head_dirs) % q
+        head[:, :n] = (base + coeffs @ dirs[:head_len]) % q
         zero = head[:, None, :] == tail
         yield np.packbits(zero, bitorder="little").view(np.uint64).reshape(-1, words)
 
 
 def _and_blocks(families: list[np.ndarray], words: int):
-    """The ANDs of one mask from each family, every combination once, in
-    blocks of at most _SCAN_BATCH masks with the zero masks dropped; the
-    empty product is the single all-ones mask."""
+    """The ANDs of one mask from each family, every combination once and the
+    last family fastest, in blocks of at most _SCAN_BATCH masks; the empty
+    product is the single all-ones mask.  A block is read with its zero
+    masks dropped, so only the last family's ANDs can be 0."""
     if not families:
         yield ~np.zeros((1, words), dtype=np.uint64)
         return
     *outer, inner = families
     for block in _and_blocks(outer, words):
+        block = block[block.any(axis=1)]
         for ilo in range(0, len(inner), _SCAN_BATCH):
             part = inner[ilo : ilo + _SCAN_BATCH]
             step = max(1, _SCAN_BATCH // len(part))
             for lo in range(0, len(block), step):
-                both = (block[lo : lo + step, None] & part).reshape(-1, words)
-                both = both[both.any(axis=1)]
-                if len(both):
-                    yield both
+                yield (block[lo : lo + step, None] & part).reshape(-1, words)
 
 
 def _span(dirs: np.ndarray, q: int, dtype) -> np.ndarray:
-    """Every sum_t v_t dirs[t] mod q for v in F_q^len(dirs), as an array of
-    shape (q^len(dirs), width) in the unsigned `dtype`, which must hold
-    2q - 2.  Each direction adds its q multiples, and a sum s is reduced as
-    min(s, s - q): below q, s - q wraps around past s.  No step divides."""
+    """Every sum_t v_t dirs[t] mod q for v in F_q^len(dirs), in the order of
+    `digits`, as an array of shape (q^len(dirs), width) in the unsigned
+    `dtype`, which must hold 2q - 2.  Each direction adds its q multiples as
+    the fastest axis, and a sum s is reduced as min(s, s - q): below q,
+    s - q wraps around past s.  No step divides."""
     out = np.zeros((1, dirs.shape[1]), dtype=dtype)
     for d in dirs:
         multiples = (np.arange(q)[:, None] * d % q).astype(dtype)
-        out = (multiples[:, None] + out).reshape(-1, dirs.shape[1])
+        out = (out[:, None] + multiples).reshape(-1, dirs.shape[1])
         np.minimum(out, out - dtype.type(q), out=out)
     return out
 

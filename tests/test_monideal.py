@@ -163,6 +163,42 @@ def test_dimension():
     assert MonomialIdeal(3, [M(0, 0, 0)]).dimension() == -1
 
 
+def test_dimension_matches_the_largest_avoiding_subset():
+    rng = random.Random(24)
+    for _ in range(300):
+        nvars = rng.randint(1, 6)
+        gens = [monomial([rng.randrange(3) for _ in range(nvars)])
+                for _ in range(rng.randrange(6))]
+        J = MonomialIdeal(nvars, gens)
+        avoiding = [
+            len(chosen)
+            for size in range(nvars + 1)
+            for chosen in itertools.combinations(range(nvars), size)
+            if not any(all(g[j] == 0 or j in chosen for j in range(nvars)) for g in J.gens)
+        ]
+        assert J.dimension() == max(avoiding, default=-1), J
+
+
+# (t1, ..., t23) in 24 variables: one point, dimension one, and 2^24 subsets
+# of the variables; its exponent box with one coordinate zeroed has 2^23 cells
+POINT_IDEAL = MonomialIdeal(24, [tuple(int(i == j) for i in range(24)) for j in range(23)])
+
+
+def test_dimension_tries_sizes_up_from_one():
+    start = time.perf_counter()
+    assert POINT_IDEAL.dimension() == 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_standard_cells_stay_below_the_pure_powers():
+    start = time.perf_counter()
+    assert FootprintRays(POINT_IDEAL).ray_cells == [(23, (0,) * 24)]
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert monomial_quotient_degree(POINT_IDEAL) == GradedQuotientSummary((1,) * 25, 1, 1, 0)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_degree_slice_enumerates_standard_monomials():
     J = MonomialIdeal(3, [M(4, 0, 0), M(0, 4, 0)])
     for d in range(8):

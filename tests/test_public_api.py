@@ -1,7 +1,7 @@
 """The documented entry points: the README's library quick start runs and
-prints what its comments say, its list of matrix functions is the CLI's,
-every exported name resolves, and the public constructors refuse bad input
-with their own message."""
+prints what its comments say, its list of matrix functions and the limits
+it states are the code's, every exported name resolves, and the public
+constructors refuse bad input with their own message."""
 
 import contextlib
 import io
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rghw
-from rghw import cli, linalg
+from rghw import cli, linalg, points, weights
 from rghw.points import projective_zero_set
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -38,6 +38,23 @@ def test_readme_quick_start_prints_its_commented_output():
 def test_readme_lists_the_matrix_functions():
     listed = re.findall(r"`function = ([^`]*)`", README.read_text())
     assert listed and all(tuple(entry.split(" | ")) == cli.FUNCTIONS for entry in listed)
+
+
+def _power(text):
+    base, exponent = text.split("^")
+    return int(base) ** int(exponent)
+
+
+def test_readme_limits_match_the_code():
+    text = " ".join(README.read_text().split())
+    stated = {name: _power(v) for name, v in re.findall(r"`points\.(MAX_\w+)` = (2\^\d+)", text)}
+    assert stated == {"MAX_POINTS": points.MAX_POINTS, "MAX_SEARCHED": points.MAX_SEARCHED}
+    [(zeros, space)] = re.findall(
+        r"more than (2\^\d+) points \(for an ideal, its zero set; "
+        r"P\^\(s-1\)\(F_q\) itself may have up to (2\^\d+)\)", text)
+    assert (_power(zeros), _power(space)) == (points.MAX_POINTS, points.MAX_SEARCHED)
+    [step] = re.findall(r"one numpy step \((2\^\d+) masks\)", text)
+    assert _power(step) == weights._SCAN_BATCH
 
 
 def test_every_exported_name_resolves():
@@ -84,6 +101,9 @@ REFUSALS = {
     "ring without variables": (
         lambda: rghw.PolyRing(5, 0),
         ValueError, "need at least one variable, got 0"),
+    "ideal generator given as text": (
+        lambda: rghw.Ideal(rghw.PolyRing(3, 2), ["t1"]),
+        ValueError, "generator 't1' does not live in GF(3)[t1,t2]"),
 }
 
 

@@ -26,7 +26,7 @@ from oracles import (
 from rghw.codes import BudgetExceededError, build_code, validate_subcode
 from rghw.field import PrimeField
 from rghw.groebner import Ideal
-from rghw.linalg import ModulusTooLargeError, gaussian_binomial, kernel_basis
+from rghw.linalg import ModulusTooLargeError, digits, gaussian_binomial, kernel_basis
 from rghw.monideal import FootprintRays, MonomialIdeal, monomial_quotient_degree
 from rghw.points import (
     ProjectivePointSet,
@@ -490,6 +490,34 @@ def test_scan_chunks_the_product_of_later_rows(monkeypatch, batch):
     monkeypatch.setattr(weights, "_SCAN_BATCH", batch)
     scan = CandidateScan(code.generator_rows, code.q, [3], sub).rank(3)
     assert (scan.min_support, scan.family_count, scan.feasible_count) == expected
+
+
+def _zero_mask_words(codeword, words):
+    bits = sum(1 << int(j) for j in np.flatnonzero(codeword == 0))
+    return [bits >> 64 * w & (1 << 64) - 1 for w in range(words)]
+
+
+@pytest.mark.parametrize("batch", [5, 64, 1 << 14])
+@pytest.mark.parametrize("q, s, npoints, d", [(3, 4, 20, 2), (11, 3, 70, 1)])
+def test_row_families_list_codewords_in_digit_order(monkeypatch, batch, q, s, npoints, d):
+    # family(p, later) holds the zero masks of off[p] + v @ dirs, dirs the
+    # free off-pivot rows after p and then C_1's, for v in `digits` order
+    # (first direction most significant), whether the family is sliced from
+    # p's block or joined from streamed steps, on one and two mask words
+    monkeypatch.setattr(weights, "_SCAN_BATCH", batch)
+    rng = random.Random(npoints)
+    code = build_code(random_point_set(rng, q, s, npoints), d)
+    scan = CandidateScan(code.generator_rows, q, [1], random_subcode(rng, code, 1))
+    assert scan.words == (2 if npoints > 64 else 1)
+    for p in range(scan.width):
+        after = range(p + 1, scan.width)
+        for later in {(), tuple(j for j in after if rng.random() < 0.5)}:
+            free = [j for j in after if j not in later]
+            dirs = np.concatenate([scan.off[free], scan.sub_evals])
+            m = len(dirs)
+            codewords = (scan.off[p] + digits(0, q**m, [q] * m) @ dirs) % q
+            want = [_zero_mask_words(c, scan.words) for c in codewords]
+            assert scan.family(p, later).tolist() == want, (p, later)
 
 
 def test_scan_budget_weighs_the_visited_count():
