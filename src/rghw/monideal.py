@@ -7,11 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import prod
 
 import numpy as np
 
-from .linalg import digits
 from .polyring import divides, format_monomial, monomial, monomials_of_degree
 
 
@@ -96,21 +94,22 @@ class MonomialIdeal:
         return out
 
     def dimension(self) -> int:
-        """Krull dimension of S/J: the largest number of variables spanning a
-        coordinate subspace that avoids every generator.  -1 for the unit
-        ideal (the zero ring).  Every subset of an avoiding set avoids too,
-        so sizes are tried up from 1 until no subset of a size avoids."""
+        """Krull dimension of S/J: the most variables spanning a coordinate
+        subspace that avoids every generator, nvars less the fewest meeting
+        every generator's support.  -1 for the unit ideal (the zero ring)."""
         if self.is_unit():
             return -1
-        supports = {
-            frozenset(j for j, e in enumerate(g) if e) for g in self.gens
-        }
-        minimal = [s for s in supports if not any(t < s for t in supports)]
-        for size in range(1, self.nvars + 1):
-            subsets = map(set, combinations(range(self.nvars), size))
-            if all(any(s <= chosen for s in minimal) for chosen in subsets):
-                return size - 1
-        return self.nvars
+        if self.dimension_at_most_one():
+            return int(None in self.pure_power_exponents())
+        supports = frozenset(frozenset(j for j, e in enumerate(g) if e) for g in self.gens)
+        return self.nvars - _fewest_meeting(supports, {})
+
+    def dimension_at_most_one(self) -> bool:
+        """Whether dim S/J <= 1: no two variables without a pure power in J
+        span a plane that avoids every generator, a test over pairs."""
+        free = [j for j, e in enumerate(self.pure_power_exponents()) if e is None]
+        supports = {tuple(j for j, e in enumerate(g) if e) for g in self.gens}
+        return all(pair in supports for pair in combinations(free, 2))
 
     def degree_slice(self, d: int) -> list[tuple[int, ...]]:
         """Standard monomials (monomials outside J) of total degree d, in
@@ -137,7 +136,22 @@ class MonomialIdeal:
         return f"MonomialIdeal({inner})"
 
 
-# grid rows per numpy step: bounds the memory of a sweep over exponent cells
+def _fewest_meeting(supports: frozenset, seen: dict) -> int:
+    """The size of a smallest set of variables meeting every support: a
+    variable v of a smallest support is taken, or else dropped from every
+    support.  Sets met again are read from seen, so cliques stay polynomial."""
+    if supports in seen or not supports:
+        return seen.get(supports, 0)
+    first = min(supports, key=len)
+    v = min(first)
+    fewest = 1 + _fewest_meeting(frozenset(s for s in supports if v not in s), seen)
+    if len(first) > 1:
+        fewest = min(fewest, _fewest_meeting(frozenset(s - {v} for s in supports), seen))
+    seen[supports] = fewest
+    return fewest
+
+
+# array cells per numpy step of the mask builds: bounds their memory
 _GRID_BATCH = 1 << 16
 
 
@@ -147,28 +161,23 @@ def _exponent_array(monomials, nvars: int) -> np.ndarray:
 
 def _standard_cells(gens: np.ndarray, caps, top: int | None = None) -> np.ndarray:
     """The cells u with 0 <= u_j <= caps[j] (and |u| <= top when given) that
-    no row of gens divides, as rows of an array in lexicographic order.  A
-    pure power row t_j^e caps u_j below e, and a zero row leaves no cell, so
-    the grid swept, _GRID_BATCH cells at a time, stays inside the powers."""
-    radix = [c + 1 for c in caps]
-    for g in gens:
-        support = np.flatnonzero(g)
-        if not len(support):
-            return np.zeros((0, len(caps)), dtype=np.int64)
-        if len(support) == 1:
-            j = support[0]
-            radix[j] = min(radix[j], int(g[j]))
-    size = prod(radix)
-    out = []
-    for lo in range(0, size, _GRID_BATCH):
-        cells = digits(lo, min(lo + _GRID_BATCH, size), radix)
-        if top is not None:
-            cells = cells[cells.sum(axis=1) <= top]
-        inside = np.zeros(len(cells), dtype=bool)
-        for g in gens:
-            inside |= (cells >= g).all(axis=1)
-        out.append(cells[~inside])
-    return np.concatenate(out)
+    no row of gens divides, as rows of an array in lexicographic order.
+    They form an order ideal, built one coordinate at a time: each cell on
+    coordinates 0..k-1 takes every value of coordinate k up to its cap, and
+    a row is tested at its last nonzero coordinate, so the work follows the
+    cells, not their box."""
+    lasts = [max(np.flatnonzero(g), default=0) for g in gens]
+    cells = np.zeros((1, len(caps)), dtype=np.int64)
+    for k, cap in enumerate(caps):
+        if cap:
+            count = len(cells)
+            cells = np.repeat(cells, cap + 1, axis=0)
+            cells[:, k] = np.tile(np.arange(cap + 1), count)
+            if top is not None:
+                cells = cells[cells.sum(axis=1) <= top]
+        for g in (g for g, last in zip(gens, lasts) if last == k):
+            cells = cells[~(cells >= g).all(axis=1)]
+    return cells
 
 
 def _bitmasks(bits: np.ndarray) -> list[int]:
@@ -202,22 +211,19 @@ def monomial_quotient_degree(ideal: MonomialIdeal) -> GradedQuotientSummary:
     and every standard monomial of degree at least D - nvars + 1 has exactly
     one: it lies on a ray of FootprintRays.  H is therefore the ray count
     from D - nvars + 1 on, and the last two values must agree.  The cells
-    counted are those of the grid capped at D + 1 (and, inside
-    _standard_cells, below the pure powers).
+    counted are those of degree at most D + 1.
     """
     if ideal.is_unit():
         return GradedQuotientSummary((0,), 0, 0, None)
     dim = _dimension_at_most_one(ideal)
     gens = _exponent_array(ideal.gens, ideal.nvars)
-    maxima = gens.max(axis=0, initial=0).tolist()
-    if dim == 0:
-        cells = _standard_cells(gens, maxima)
-        values = np.bincount(cells.sum(axis=1)).tolist() + [0]
-        return GradedQuotientSummary(tuple(values), 0, sum(values), None)
-    box = sum(maxima)
+    box = int(gens.max(axis=0, initial=0).sum())
     top = box + 1
     degrees = _standard_cells(gens, [top] * ideal.nvars, top).sum(axis=1)
     values = np.bincount(degrees, minlength=top + 1).tolist()
+    if dim == 0:
+        values = values[: values.index(0) + 1]
+        return GradedQuotientSummary(tuple(values), 0, sum(values), None)
     if values[box] != values[box + 1]:
         raise RuntimeError(
             f"Hilbert function not stable past the exponent box of {ideal}: "
@@ -254,18 +260,21 @@ class FootprintRays:
         nv = ideal.nvars
         gens = self._gens = _exponent_array(ideal.gens, nv)
         self.max_exponents = gens.max(axis=0, initial=0).tolist()
+        # witness cells: standard monomials inside the box; a witness for
+        # (J:(M)) != J is standard and lands in J after every multiplier in M,
+        # and capping its exponents at the box keeps both properties
+        self._witness = _standard_cells(gens, self.max_exponents)
+        self.witness_cells: list[tuple[int, ...]] = list(map(tuple, self._witness.tolist()))
         # ray cells along t_i: base cells m' in the box with m'_i = 0 such
-        # that no generator, its i-th exponent dropped, divides m'
+        # that no generator, its i-th exponent dropped, divides m'; no i-th
+        # exponent passes max_i, so these are the witnesses with u_i = max_i
+        maxima = np.array(self.max_exponents)
         dirs, bases = [], []
         for i in range(nv):
-            caps = list(self.max_exponents)
-            caps[i] = 0
-            flat = gens.copy()
-            flat[:, i] = 0
-            cells = _standard_cells(flat, caps)
             off = np.arange(nv) != i
+            cells = self._witness[self._witness[:, i] == maxima[i]] * off
             # dim <= 1 keeps every escaping cell strictly inside the box
-            edge = cells[:, off] == np.array(self.max_exponents)[off]
+            edge = cells[:, off] == maxima[off]
             if edge.any():
                 cell = tuple(cells[edge.any(axis=1)][0].tolist())
                 raise RuntimeError(
@@ -279,13 +288,6 @@ class FootprintRays:
         self._ray_off = np.arange(nv) != np.array(dirs, dtype=np.int64).reshape(-1, 1)
         self.ray_cells: list[tuple[int, tuple[int, ...]]] = [
             (i, tuple(c)) for i, c in zip(dirs, self._ray_bases.tolist())
-        ]
-        # witness cells: standard monomials inside the box; a witness for
-        # (J:(M)) != J is standard and lands in J after every multiplier in M,
-        # and capping its exponents at the box keeps both properties
-        self._witness = _standard_cells(gens, self.max_exponents)
-        self.witness_cells: list[tuple[int, ...]] = [
-            tuple(v) for v in self._witness.tolist()
         ]
 
     def masks(self, monomials) -> tuple[list[int], list[int]]:

@@ -301,8 +301,8 @@ def vanishing_ideal(X: ProjectivePointSet, order: MonomialOrder = GREVLEX) -> Id
             leads.append(m)
         initial = MonomialIdeal(ring.nvars, leads)
         if rank_reached is not None:
-            # L inside in(I_X) makes dim S/L >= 1
-            if initial.dimension() == 1:
+            # L inside in(I_X) makes dim S/L >= 1, so dim <= 1 means dim 1
+            if initial.dimension_at_most_one():
                 summary = monomial_quotient_degree(initial)
                 if summary.degree < n or summary.reg_index < rank_reached:
                     raise RuntimeError(

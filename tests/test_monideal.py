@@ -7,6 +7,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from rghw.monideal import (
     GradedQuotientSummary,
     MonomialIdeal,
     UnsupportedDimensionError,
+    _standard_cells,
     monomial_quotient_degree,
 )
 from rghw.groebner import Ideal
@@ -177,25 +179,63 @@ def test_dimension_matches_the_largest_avoiding_subset():
             if not any(all(g[j] == 0 or j in chosen for j in range(nvars)) for g in J.gens)
         ]
         assert J.dimension() == max(avoiding, default=-1), J
+        assert J.dimension_at_most_one() == (J.dimension() <= 1), J
+
+
+def ideal_of_supports(nvars, supports):
+    return MonomialIdeal(nvars, [tuple(int(i in s) for i in range(nvars)) for s in supports])
 
 
 # (t1, ..., t23) in 24 variables: one point, dimension one, and 2^24 subsets
 # of the variables; its exponent box with one coordinate zeroed has 2^23 cells
-POINT_IDEAL = MonomialIdeal(24, [tuple(int(i == j) for i in range(24)) for j in range(23)])
+POINT_IDEAL = ideal_of_supports(24, [{j} for j in range(23)])
+# t1 and every t_i t_j in 24 variables: the 23 coordinate points of t1 = 0,
+# whose degree-25 grid of exponents has 26^23 cells but only 576 standard ones
+COORDINATE_IDEAL = ideal_of_supports(24, [{0}] + list(itertools.combinations(range(1, 24), 2)))
 
 
-def test_dimension_tries_sizes_up_from_one():
+@pytest.mark.parametrize("supports, dim", [
+    ([{j} for j in range(23)], 1),
+    ([{0}], 23),
+    ([{0, 1}], 23),
+    ([{j} for j in range(12)], 12),
+    (itertools.combinations(range(24), 2), 1),
+    ([{2 * i, 2 * i + 1} for i in range(12)], 12),
+    ([{i, (i + 1) % 24} for i in range(24)], 12),
+    (itertools.combinations(range(16), 3), 10),
+])
+def test_dimension_is_fast_at_every_size(supports, dim):
+    J = ideal_of_supports(24, list(supports))
     start = time.perf_counter()
-    assert POINT_IDEAL.dimension() == 1
+    assert J.dimension() == dim
+    assert J.dimension_at_most_one() == (dim <= 1)
     assert time.perf_counter() - start < 1.0
 
 
-def test_standard_cells_stay_below_the_pure_powers():
+def test_standard_cells_match_the_box(seed=23):
+    rng = random.Random(seed)
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        gens = np.array([[rng.choice([0, 0, 1, 2, 3]) for _ in range(nvars)]
+                         for _ in range(rng.randrange(5))], dtype=np.int64).reshape(-1, nvars)
+        caps = [rng.randrange(4) for _ in range(nvars)]
+        top = rng.choice([None, rng.randrange(8)])
+        box = [u for u in itertools.product(*(range(c + 1) for c in caps))
+               if (top is None or sum(u) <= top) and not any((np.array(u) >= gens).all(axis=1))]
+        assert _standard_cells(gens, caps, top).tolist() == [list(u) for u in box]
+
+
+@pytest.mark.parametrize("J, rays, summary", [
+    (POINT_IDEAL, [(23, (0,) * 24)], GradedQuotientSummary((1,) * 25, 1, 1, 0)),
+    (COORDINATE_IDEAL, [(i, (0,) * 24) for i in range(1, 24)],
+     GradedQuotientSummary((1,) + (23,) * 25, 1, 23, 1)),
+])
+def test_standard_cells_follow_the_cells_not_the_box(J, rays, summary):
     start = time.perf_counter()
-    assert FootprintRays(POINT_IDEAL).ray_cells == [(23, (0,) * 24)]
+    assert FootprintRays(J).ray_cells == rays
     assert time.perf_counter() - start < 1.0
     start = time.perf_counter()
-    assert monomial_quotient_degree(POINT_IDEAL) == GradedQuotientSummary((1,) * 25, 1, 1, 0)
+    assert monomial_quotient_degree(J) == summary
     assert time.perf_counter() - start < 1.0
 
 

@@ -10,6 +10,7 @@ import pytest
 from rghw.field import PrimeField
 from rghw.groebner import Ideal
 from rghw.linalg import ModulusTooLargeError, matrix_rank
+from rghw.monideal import GradedQuotientSummary
 from rghw import points
 from rghw.points import (
     ProjectivePointSet,
@@ -129,6 +130,18 @@ def test_collinear_points_reach_a_high_regularity_fast():
     ideal = X.vanishing_ideal()
     assert ideal.quotient_summary().reg_index == 29
     assert sorted(g.degree() for g in ideal.groebner_basis()) == [1] * 8 + [30]
+    assert time.perf_counter() - start < 5.0
+
+
+def test_coordinate_points_certify_fast():
+    # e_2, ..., e_24 in P^23/F_2: t1 leads in degree 1 and every t_i t_j with
+    # 2 <= i < j in degree 2, so the quotient by the degree-1 leads alone has
+    # dimension 23, and its standard monomials lie on 23 rays
+    X = ProjectivePointSet(PrimeField(2), [tuple(int(i == j) for i in range(24)) for j in range(1, 24)])
+    start = time.perf_counter()
+    ideal = X.vanishing_ideal()
+    assert ideal.quotient_summary() == GradedQuotientSummary((1,) + (23,) * 25, 1, 23, 1)
+    assert sorted(g.degree() for g in ideal.groebner_basis()) == [1] + [2] * 253
     assert time.perf_counter() - start < 5.0
 
 
