@@ -75,13 +75,14 @@ def rref(matrix, q: int):
         if nz.size == 0:
             continue
         src = row + int(nz[0])
+        # the pivot row is 0 left of col, like every row from `row` on, so
+        # only columns col.. change
+        pivot = R[src, col:] * pow(int(R[src, col]), q - 2, q) % q
         if src != row:
-            R[[row, src]] = R[[src, row]]
-        R[row] = R[row] * pow(int(R[row, col]), q - 2, q) % q
-        others = R[:, col].copy()
-        others[row] = 0
-        R -= np.outer(others, R[row])
-        R %= q
+            R[src] = R[row]
+        rest = R[:, col:]
+        np.remainder(rest - R[:, col, None] * pivot, q, out=rest)
+        rest[row] = pivot
         pivots.append(col)
         row += 1
     return R, pivots

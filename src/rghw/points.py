@@ -257,16 +257,20 @@ def _evaluate(coords: np.ndarray, q: int, basis) -> np.ndarray:
 def vanishing_ideal(X: ProjectivePointSet, order: MonomialOrder = GREVLEX) -> Ideal:
     """The ideal of all homogeneous polynomials vanishing on X, with its
     reduced Groebner basis, by graded linear algebra (the projective
-    Buchberger-Moeller method of Marinari, Moeller and Mora).
+    Buchberger-Moeller method of Marinari, Moeller and Mora), each degree
+    built from the last.
 
     L is the monomial ideal of the leading monomials found so far.  In each
     degree d the evaluation matrix has one column per degree-d monomial
-    outside L, in increasing order.  A monomial in L is never a pivot (its
-    column is a combination of smaller standard columns), so leaving it out
-    changes no pivot and no kernel vector.  The RREF has the standard
-    monomials as pivot columns; a free column m is a new leading monomial of
-    I_X, and the kernel vector m - sum R[i, m] * pivot_i is the monic,
-    tail-reduced basis element with leading monomial m.
+    outside L, in increasing order: the products t_i m of the degree-(d-1)
+    standard monomials m whose degree-(d-1) divisors are all standard
+    (`_border`), and the column of t_i m is that of m times coordinate i.  A
+    monomial in L is never a pivot (its column is a combination of smaller
+    standard columns), so leaving it out changes no pivot and no kernel
+    vector.  The RREF has the standard monomials as pivot columns; a free
+    column m is a new leading monomial of I_X, and the kernel vector
+    m - sum R[i, m] * pivot_i is the monic, tail-reduced basis element with
+    leading monomial m.
 
     Degrees are added until L certifies itself: dim S/L <= 1, deg S/L =
     |X|, and the regularity index of S/L is the first degree where the
@@ -280,27 +284,35 @@ def vanishing_ideal(X: ProjectivePointSet, order: MonomialOrder = GREVLEX) -> Id
     n = len(X)
     basis: list[Polynomial] = []
     leads: list[tuple[int, ...]] = []
-    initial = MonomialIdeal(ring.nvars)
+    # the standard monomials of the last degree and their evaluation rows
+    standard, evals = [(0,) * X.s], np.ones((1, n), dtype=np.int64)
     rank_reached = None
-    d = -1
+    d = 0
     while True:
-        d += 1
-        monomials = order.sorted(initial.degree_slice(d))
-        R, pivots = rref(evaluation_matrix(X, monomials).T, q)
+        if d:
+            border = _border(standard)
+            monomials = order.sorted(border)
+            parent, var = np.array([border[m] for m in monomials]).T
+            evals = evals[parent] * X.coords.T[var] % q
+        else:
+            monomials = standard
+        R, pivots = rref(evals.T, q)
         if rank_reached is None and len(pivots) == n:
             rank_reached = d
         pivot_set = set(pivots)
-        for col, m in enumerate(monomials):
-            if col in pivot_set:
-                continue
-            terms = {m: 1}
-            # only rows whose pivot lies left of col are nonzero there
-            for i in np.flatnonzero(R[:, col]).tolist():
-                terms[monomials[pivots[i]]] = q - int(R[i, col])
+        free = [col for col in range(len(monomials)) if col not in pivot_set]
+        # row i of the free columns, one list per column: only rows whose
+        # pivot lies left of the column are nonzero there
+        for col, column in zip(free, R[: len(pivots), free].T.tolist()):
+            terms = {monomials[col]: 1}
+            for i, v in enumerate(column):
+                if v:
+                    terms[monomials[pivots[i]]] = q - v
             basis.append(Polynomial(ring, terms))
-            leads.append(m)
-        initial = MonomialIdeal(ring.nvars, leads)
+            leads.append(monomials[col])
+        standard, evals = [monomials[p] for p in pivots], evals[pivots]
         if rank_reached is not None:
+            initial = MonomialIdeal(ring.nvars, leads)
             # L inside in(I_X) makes dim S/L >= 1, so dim <= 1 means dim 1
             if initial.dimension_at_most_one():
                 summary = monomial_quotient_degree(initial)
@@ -317,8 +329,30 @@ def vanishing_ideal(X: ProjectivePointSet, order: MonomialOrder = GREVLEX) -> Id
             raise RuntimeError(
                 f"vanishing ideal of {n} points not certified by degree {d}"
             )
-    basis.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    return Ideal._from_reduced_basis(ring, basis, order, initial, summary)
+        d += 1
+    rank = sorted(range(len(leads)), key=lambda i: order.key(leads[i]))
+    return Ideal._from_reduced_basis(ring, [basis[i] for i in rank], order, initial, summary)
+
+
+def _border(standard: list[tuple[int, ...]]) -> dict[tuple[int, ...], tuple[int, int]]:
+    """The monomials u = t_i m, m in `standard` (the standard monomials of
+    one degree), whose divisors of that degree are all standard: the
+    standard monomials of the next degree and the leading monomials it
+    adds.  Each u maps to (index of m, i) for the first such m."""
+    index = {m: k for k, m in enumerate(standard)}
+    border: dict[tuple[int, ...], tuple[int, int]] = {}
+    tried = set()
+    for k, m in enumerate(standard):
+        support = [j for j, e in enumerate(m) if e]
+        for i in range(len(m)):
+            u = m[:i] + (m[i] + 1,) + m[i + 1 :]
+            if u in tried:
+                continue
+            tried.add(u)
+            # u / t_i = m is standard; u / t_j, j != i, needs m_j > 0
+            if all(u[:j] + (u[j] - 1,) + u[j + 1 :] in index for j in support if j != i):
+                border[u] = (k, i)
+    return border
 
 
 def zero_set(X: ProjectivePointSet, polys) -> np.ndarray:

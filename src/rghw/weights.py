@@ -238,15 +238,19 @@ class CandidateScan:
     `_and_blocks` takes it last.  The later rows' families, found by a
     depth-first walk from the last pivot, are held while their patterns are
     visited; their ANDs are formed once per pattern, empty ones dropped.
+    Rank 1 needs no AND, so it counts the zeros of row 0's families without
+    masks, except where a block is built or a higher rank will build it, and
+    reads the blocks in place.
 
     A family lists its codewords in `digits` order, its first direction most
     significant.  Each pivot p from `first_block` on, whose q^(k - 1 - p)
-    codewords off[p] + sum_(j > p) v_j off[j] + L C_1 fit one numpy step,
-    gets one block of their zero masks, built on first use, with one axis
-    per v_j; the family (p, later) is its slice with the digits at `later`
-    set to 0.  Below `first_block`, families are built alone, and row 0's
-    streamed: p's block could dwarf them (at r = k - k1 the family at p = 1
-    is q^k1 masks, the block q^(k - 2)).
+    codewords off[p] + sum_(j > p) v_j off[j] + L C_1 have masks that fit
+    one numpy step of _SCAN_BATCH mask words, gets one block of their zero
+    masks, built on first use, with one axis per v_j; the family (p, later)
+    is its slice with the digits at `later` set to 0.  Below `first_block`,
+    families are built alone, and row 0's streamed: p's block could dwarf
+    them (at r = k - k1 the family at p = 1 is q^k1 masks, the block
+    q^(k - 2)).
 
     G, a (k, n) array of residues mod the prime q with independent rows,
     generates any linear code; `sub`, independent (k1, k) coefficient rows
@@ -271,9 +275,10 @@ class CandidateScan:
         self.q, self.n, self.budget = q, n, budget
         self.words = -(-n // 64)
         self.blocks = {}
-        # pivots from here on get a block, built on first use
+        # pivots from here on get a block, built on first use, of at most
+        # _SCAN_BATCH mask words
         self.first_block = width
-        while self.first_block and q ** (k - self.first_block) <= _SCAN_BATCH:
+        while self.first_block and q ** (k - self.first_block) * self.words <= _SCAN_BATCH:
             self.first_block -= 1
         if all(total > budget for total in self.visited.values()):
             return
@@ -302,11 +307,14 @@ class CandidateScan:
         return self.blocks[p][cut].reshape(-1, self.words)
 
     def stream(self, p: int, later: tuple[int, ...]):
-        """The `_zero_masks` steps of row family (p, later), its directions in
-        order, so axis t of p's block is direction p + 1 + t, the last L C_1."""
+        """The `_zero_masks` steps of row family (p, later)."""
+        return _zero_masks(self.off[p], self._dirs(p, later), self.q, self.words)
+
+    def _dirs(self, p: int, later: tuple[int, ...]) -> np.ndarray:
+        """The directions of row family (p, later), in order, so axis t of
+        p's block is direction p + 1 + t, the last L C_1."""
         free = [j for j in range(p + 1, self.width) if j not in later]
-        dirs = np.concatenate([self.off[free], self.sub_evals])
-        return _zero_masks(self.off[p], dirs, self.q, self.words)
+        return np.concatenate([self.off[free], self.sub_evals])
 
     def rank(self, r: int) -> RankCounts:
         """Rank r's pass; BudgetExceededError when its visited count exceeds
@@ -314,16 +322,32 @@ class CandidateScan:
         total = self.visited[r]
         if total > self.budget:
             raise BudgetExceededError(total, self.budget)
-        family_count = max_vanishing = 0
-        for row0, outer in self._visits(r - 1, (), []):
+        if r == 1:
+            steps = self._rank_one_steps()
+        else:
             # one subspace per AND of the outer rows' masks and a row-0 mask
-            for common in _and_blocks(outer + [row0], self.words):
-                vanishing = np.bitwise_count(common)
-                if self.words > 1:
-                    vanishing = vanishing.sum(axis=-1)
-                family_count += int(np.count_nonzero(vanishing))
-                max_vanishing = max(max_vanishing, int(vanishing.max()))
+            steps = (
+                _popcounts(common)
+                for row0, outer in self._visits(r - 1, (), [])
+                for common in _and_blocks(outer + [row0], self.words)
+            )
+        family_count = max_vanishing = 0
+        for vanishing in steps:
+            family_count += int(np.count_nonzero(vanishing))
+            max_vanishing = max(max_vanishing, int(vanishing.max()))
         return RankCounts(total, family_count, max_vanishing, self.n - max_vanishing)
+
+    def _rank_one_steps(self):
+        """The zero counts of every codeword, family by family.  A block is
+        read in place when it is built, or built when a higher rank of the
+        group passes its gate and will read it; otherwise the family's zeros
+        are counted without masks."""
+        higher = any(s > 1 and total <= self.budget for s, total in self.visited.items())
+        for p in range(self.width):
+            if p in self.blocks or higher and p >= self.first_block:
+                yield _popcounts(self.family(p, ()))
+            else:
+                yield from _zero_counts(self.off[p], self._dirs(p, ()), self.q, self.words)
 
     def _visits(self, i: int, later: tuple[int, ...], outer: list[np.ndarray]):
         """Pairs (row-0 masks, outer) below a node of the walk: rows i + 1..
@@ -346,14 +370,15 @@ class CandidateScan:
             yield np.concatenate(held), outer
 
 
-# masks or (head, tail) pairs per numpy step: bounds the scan's peak memory.
+# mask words per numpy step and per block: bounds the scan's peak memory.
+# A step's comparison array takes 64 bytes per mask word, 1 MiB in all.
 _SCAN_BATCH = 1 << 14
 
 
 def _zero_masks(base: np.ndarray, dirs: np.ndarray, q: int, words: int):
     """Zero sets of the codewords base + sum_t v_t dirs[t] mod q, for v in
     F_q^len(dirs), as bitmasks of `words` uint64 words: yields arrays of
-    shape (c, words), at most _SCAN_BATCH codewords each, in the order of
+    shape (c, words), at most _SCAN_BATCH words each, in the order of
     `digits` (dirs[0] most significant), so the steps joined reshape to one
     axis per direction, in order.
 
@@ -364,35 +389,75 @@ def _zero_masks(base: np.ndarray, dirs: np.ndarray, q: int, words: int):
     columns, heads with 0 and tails with q, which no residue equals, so each
     comparison fills whole mask words that `packbits` turns into masks."""
     n = len(base)
-    head_len = len(dirs) - max(t for t in range(len(dirs) + 1) if q**t <= _SCAN_BATCH)
-    dtype = np.min_scalar_type(2 * q)
-    span = _span(-dirs[head_len:] % q, q, dtype)
-    tail = np.full((len(span), 64 * words), q, dtype=dtype)
+    span, heads = _head_tail(base, dirs, q, words)
+    tail = np.full((len(span), 64 * words), q, dtype=span.dtype)
     tail[:, :n] = span
-    heads = q**head_len
-    step = max(1, _SCAN_BATCH // len(tail))
-    for lo in range(0, heads, step):
-        coeffs = digits(lo, min(lo + step, heads), [q] * head_len)
-        head = np.zeros((len(coeffs), 64 * words), dtype=dtype)
-        head[:, :n] = (base + coeffs @ dirs[:head_len]) % q
-        zero = head[:, None, :] == tail
+    for head in heads:
+        padded = np.zeros((len(head), 64 * words), dtype=span.dtype)
+        padded[:, :n] = head
+        zero = padded[:, None, :] == tail
         yield np.packbits(zero, bitorder="little").view(np.uint64).reshape(-1, words)
+
+
+def _zero_counts(base: np.ndarray, dirs: np.ndarray, q: int, words: int):
+    """The zero counts of the codewords of `_zero_masks(base, dirs, q,
+    words)`, in its order and steps, without the masks: the span of minus
+    the tails, transposed to one row per point, is compared with each
+    head's value there, and the matches summed over the points.  The inner
+    loops run over contiguous tails, not over mask words."""
+    span, heads = _head_tail(base, dirs, q, words)
+    columns = np.ascontiguousarray(span.T)
+    count_type = np.min_scalar_type(len(base))
+    for head in heads:
+        zero = head[:, :, None] == columns
+        yield zero.view(np.uint8).sum(axis=1, dtype=count_type).reshape(-1)
+
+
+def _head_tail(base: np.ndarray, dirs: np.ndarray, q: int, words: int):
+    """The head/tail split of `_zero_masks`: the tail takes the last digits,
+    as many as keep its q^t masks within _SCAN_BATCH words, and a step as
+    many heads as keep its masks within it too.  Returns the span of minus
+    the tails and an iterator over the steps' head values, both in the
+    smallest unsigned type that holds 2q."""
+    tail_len = max(
+        (t for t in range(len(dirs) + 1) if q**t * words <= _SCAN_BATCH), default=0
+    )
+    head_dirs = dirs[: len(dirs) - tail_len]
+    dtype = np.min_scalar_type(2 * q)
+    span = _span(-dirs[len(head_dirs) :] % q, q, dtype)
+    step = max(1, _SCAN_BATCH // (len(span) * words))
+    count = q ** len(head_dirs)
+
+    def heads():
+        for lo in range(0, count, step):
+            coeffs = digits(lo, min(lo + step, count), [q] * len(head_dirs))
+            yield ((base + coeffs @ head_dirs) % q).astype(dtype)
+
+    return span, heads()
+
+
+def _popcounts(masks: np.ndarray) -> np.ndarray:
+    """The number of set bits of each mask of a (c, words) array, with the
+    axis of words kept when there is one word."""
+    counts = np.bitwise_count(masks)
+    return counts.sum(axis=-1) if masks.shape[-1] > 1 else counts
 
 
 def _and_blocks(families: list[np.ndarray], words: int):
     """The ANDs of one mask from each family, every combination once and the
-    last family fastest, in blocks of at most _SCAN_BATCH masks; the empty
+    last family fastest, in blocks of at most _SCAN_BATCH words; the empty
     product is the single all-ones mask.  A block is read with its zero
     masks dropped, so only the last family's ANDs can be 0."""
     if not families:
         yield ~np.zeros((1, words), dtype=np.uint64)
         return
     *outer, inner = families
+    per_step = max(1, _SCAN_BATCH // words)
     for block in _and_blocks(outer, words):
         block = block[block.any(axis=1)]
-        for ilo in range(0, len(inner), _SCAN_BATCH):
-            part = inner[ilo : ilo + _SCAN_BATCH]
-            step = max(1, _SCAN_BATCH // len(part))
+        for ilo in range(0, len(inner), per_step):
+            part = inner[ilo : ilo + per_step]
+            step = max(1, per_step // len(part))
             for lo in range(0, len(block), step):
                 yield (block[lo : lo + step, None] & part).reshape(-1, words)
 

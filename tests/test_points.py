@@ -10,7 +10,7 @@ import pytest
 from rghw.field import PrimeField
 from rghw.groebner import Ideal
 from rghw.linalg import ModulusTooLargeError, matrix_rank
-from rghw.monideal import GradedQuotientSummary
+from rghw.monideal import GradedQuotientSummary, MonomialIdeal
 from rghw import points
 from rghw.points import (
     ProjectivePointSet,
@@ -23,7 +23,7 @@ from rghw.points import (
     projective_zero_set,
     zero_set,
 )
-from rghw.polyring import GREVLEX, GRLEX, LEX, PolyRing
+from rghw.polyring import GREVLEX, GRLEX, LEX, ORDERS, PolyRing
 
 from oracles import ideal_equal, projective_reps, vanishing_ideal_by_buchberger
 
@@ -228,6 +228,36 @@ def test_vanishing_ideal_matches_buchberger_oracle():
     # the sets include initial ideals with a generator beyond reg + 1, the
     # degree where the rank scan alone would have stopped
     assert above_reg_plus_one > 0
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_vanishing_ideal_border_is_the_degree_slice(monkeypatch, order):
+    # each degree's candidate columns, built as products t_i m of the last
+    # degree's standard monomials, are the degree-d monomials outside the
+    # leading monomials of lower degree, and each names its factor m, t_i
+    borders, original = [], points._border
+
+    def recorded(standard):
+        border = original(standard)
+        borders.append((standard, border))
+        return border
+
+    monkeypatch.setattr(points, "_border", recorded)
+    rng = random.Random(sorted(ORDERS).index(order))
+    for _ in range(25):
+        q = rng.choice([2, 3, 5, 7])
+        s = rng.choice([2, 3, 4])
+        n = rng.randrange(1, min(24, len(all_projective_points(q, s))) + 1)
+        X = random_point_set(rng, q, s, n)
+        borders.clear()
+        ideal = points.vanishing_ideal(X, ORDERS[order])
+        leads = [g.leading_monomial(ORDERS[order]) for g in ideal.groebner_basis()]
+        assert borders
+        for d, (standard, border) in enumerate(borders, start=1):
+            lower = MonomialIdeal(s, [m for m in leads if sum(m) < d])
+            assert sorted(border) == lower.degree_slice(d), (X, order, d)
+            for u, (k, i) in border.items():
+                assert tuple(e + (j == i) for j, e in enumerate(standard[k])) == u
 
 
 def test_sixty_points_in_p3_over_f5_are_fast():

@@ -6,6 +6,7 @@ quantities through Groebner degrees of (I, F) and (I : F) to pin the
 algebraic meaning down independently."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from oracles import (
     full_space_rgmdf,
     ideal_quotient,
     iter_subspace_batches,
+    minimum_distance_scan,
     quotient_by_set,
     random_subcode,
     rghw_by_support_scan,
@@ -518,6 +520,71 @@ def test_row_families_list_codewords_in_digit_order(monkeypatch, batch, q, s, np
             codewords = (scan.off[p] + digits(0, q**m, [q] * m) @ dirs) % q
             want = [_zero_mask_words(c, scan.words) for c in codewords]
             assert scan.family(p, later).tolist() == want, (p, later)
+
+
+def _rank_one_by_masks(scan):
+    """Rank 1's RankCounts from the zero masks of every row family."""
+    vanishing = np.concatenate([
+        np.bitwise_count(scan.family(p, ())).sum(axis=1) for p in range(scan.width)
+    ])
+    top = int(vanishing.max())
+    return (len(vanishing), int(np.count_nonzero(vanishing)), top, scan.n - top)
+
+
+@pytest.mark.parametrize("batch", [5, 64, 1 << 14])
+@pytest.mark.parametrize("q, s, npoints, d", [(3, 4, 20, 2), (5, 3, 12, 2), (11, 3, 70, 1)])
+def test_rank_one_counts_match_the_mask_route(monkeypatch, batch, q, s, npoints, d):
+    # at rank 1 a family's zeros are counted without masks unless a block
+    # is read: the counts, step by step, are the popcounts of the masks, and
+    # the pass matches the masks of every family, on one and two mask
+    # words, with and without a subcode; with no subcode it is the minimum
+    # distance
+    monkeypatch.setattr(weights, "_SCAN_BATCH", batch)
+    rng = random.Random(batch + npoints)
+    code = build_code(random_point_set(rng, q, s, npoints), d)
+    streamed = 0
+    for k1 in (0, 1):
+        sub = random_subcode(rng, code, k1)
+        # alone, rank 1 builds no block; with rank 2 in the group it builds
+        # the blocks that rank 2 reads, and counts only the streamed families
+        for ranks, built in (([1], False), ([1, 2], True)):
+            scan = CandidateScan(code.generator_rows, q, ranks, sub, budget=10**8)
+            assert scan.words == (2 if npoints > 64 else 1)
+            got = scan.rank(1)
+            assert sorted(scan.blocks) == \
+                (list(range(scan.first_block, scan.width)) if built else [])
+            assert got == _rank_one_by_masks(scan), (k1, ranks)
+            if not k1:
+                assert got.min_support == minimum_distance_scan(code)
+        for p in range(scan.width):
+            args = scan.off[p], scan._dirs(p, ()), q, scan.words
+            counts = list(weights._zero_counts(*args))
+            masks = list(weights._zero_masks(*args))
+            assert [c.tolist() for c in counts] == \
+                [np.bitwise_count(m).sum(axis=1).tolist() for m in masks], (k1, p)
+        streamed += scan.first_block > 0
+    assert streamed == 2 or batch == 1 << 14
+
+
+def test_rank_one_pass_memory_stays_bounded_in_bytes():
+    # the simplex code of all of P^13/F_2 (k = 14, n = 16383): every
+    # codeword of weight 2^13, and 256 mask words per codeword.  Steps and
+    # blocks hold at most _SCAN_BATCH mask words, so the rank-1 pass peaks
+    # at a few MB; steps of 2^14 masks would take over 400 MB here
+    G = np.ascontiguousarray(all_projective_points(2, 14).coords.T)
+    # alone, and with rank 2 let through the budget, so that the blocks of
+    # the last pivots are built
+    for ranks, budget in (([1], 10**7), ([1, 2], 10**8)):
+        tracemalloc.start()
+        try:
+            scan = CandidateScan(G, 2, ranks, budget=budget)
+            counts = scan.rank(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == (16383, 16383, 8191, 8192)
+        assert len(scan.blocks) == (7 if len(ranks) > 1 else 0)
+        assert peak < 64 << 20, ranks
 
 
 def test_scan_budget_weighs_the_visited_count():
