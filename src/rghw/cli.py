@@ -457,6 +457,10 @@ def cmd_weights(problem: Problem, args) -> tuple[str, int]:
     counts: dict = {}
     # the columns that one scan fills; Mr shows '-' unless asked for
     scan_columns = "delta/vasconcelos/" + ("Mr/" if args.with_bruteforce else "") + "cand_poly"
+    # every group's code, subcode and rank range is checked before any cell,
+    # so a config error (a later group's, or a q too large for a later
+    # code's length) comes before any budget line
+    groups = []
     for query, d in _expand_queries(problem):
         if d not in codes:
             codes[d] = build_code(X, d, problem.order)
@@ -472,6 +476,8 @@ def cmd_weights(problem: Problem, args) -> tuple[str, int]:
             raise ConfigError(
                 f"line {query.lineno}: r up to {r_hi} exceeds k - k1 = {rmax} at d = {d}"
             )
+        groups.append((query, d, code, sub, r_lo, r_hi))
+    for query, d, code, sub, r_lo, r_hi in groups:
         if (d, r_hi) not in profiles:
             profiles[d, r_hi] = _attempt(FootprintProfile, code.ideal, d, r_hi, args.budget)
             counts[d, r_hi] = _attempt(admissible_counts, code.ideal, d, r_hi, args.budget)

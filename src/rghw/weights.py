@@ -152,9 +152,13 @@ class FootprintProfile:
 
     def value(self, r: int) -> int:
         """fp at rank r: degree drop against the best admissible subset, or
-        the full degree when no subset of size r is admissible."""
+        the full degree when no subset of size r is admissible, as when r
+        exceeds the pool.  A rank past rmax within the pool was not searched,
+        and raises ValueError."""
         if r < 1:
             raise ValueError(f"rank must be positive, got {r}")
+        if self.rmax < r <= len(self.pool):
+            raise ValueError(f"rank {r} exceeds the profile's rmax = {self.rmax}")
         if r > self.rmax or self.best[r] is None:
             return self.total_degree
         return self.total_degree - self.best[r]
@@ -239,18 +243,22 @@ class CandidateScan:
     depth-first walk from the last pivot, are held while their patterns are
     visited; their ANDs are formed once per pattern, empty ones dropped.
     Rank 1 needs no AND, so it counts the zeros of row 0's families without
-    masks, except where a block is built or a higher rank will build it, and
-    reads the blocks in place.
+    masks, except where a higher rank passes its gate and so builds the
+    blocks, which rank 1 then reads in place.
 
     A family lists its codewords in `digits` order, its first direction most
-    significant.  Each pivot p from `first_block` on, whose q^(k - 1 - p)
-    codewords off[p] + sum_(j > p) v_j off[j] + L C_1 have masks that fit
-    one numpy step of _SCAN_BATCH mask words, gets one block of their zero
-    masks, built on first use, with one axis per v_j; the family (p, later)
-    is its slice with the digits at `later` set to 0.  Below `first_block`,
-    families are built alone, and row 0's streamed: p's block could dwarf
-    them (at r = k - k1 the family at p = 1 is q^k1 masks, the block
-    q^(k - 2)).
+    significant.  The directions are off[1:], then C_1's evaluated rows, and
+    the family at p takes those from the p-th on, less the later pivots'.
+    The scan splits them once: the tail is the last t, t the largest with
+    q^t masks within _SCAN_BATCH words, spanned once, and a family is its
+    head directions, streamed, with its slice of that span, the tail digits
+    it lacks set to 0.  From `first_block` = k - 1 - t on a family has no
+    head, and its pivot p gets one block of the q^(k - 1 - p) zero masks of
+    off[p] + sum_(j > p) v_j off[j] + L C_1, built on first use, with one
+    axis per v_j; the family (p, later) is its slice with the digits at
+    `later` set to 0.  Below `first_block`, families are built alone, and
+    row 0's streamed: p's block could dwarf them (at r = k - k1 the family
+    at p = 1 is q^k1 masks, the block q^(k - 2)).
 
     G, a (k, n) array of residues mod the prime q with independent rows,
     generates any linear code; `sub`, independent (k1, k) coefficient rows
@@ -275,11 +283,6 @@ class CandidateScan:
         self.q, self.n, self.budget = q, n, budget
         self.words = -(-n // 64)
         self.blocks = {}
-        # pivots from here on get a block, built on first use, of at most
-        # _SCAN_BATCH mask words
-        self.first_block = width
-        while self.first_block and q ** (k - self.first_block) * self.words <= _SCAN_BATCH:
-            self.first_block -= 1
         if all(total > budget for total in self.visited.values()):
             return
         require_exact_int64(q, k)
@@ -291,7 +294,14 @@ class CandidateScan:
         if len(pivots) < k1:
             raise ValueError(f"the {k1} rows of sub are dependent")
         self.off = G[[c for c in range(k) if c not in pivots]]
-        self.sub_evals = np.matmul(sub, G) % q
+        # off[j] is direction j - 1; the span is of minus the tails, with one
+        # axis per tail direction
+        dirs = np.concatenate([self.off[1:], np.matmul(sub, G) % q])
+        t = max((t for t in range(k) if q**t * self.words <= _SCAN_BATCH), default=0)
+        self.first_block = k - 1 - t
+        self.head_dirs = dirs[: self.first_block]
+        span = _span(-dirs[self.first_block :] % q, q, np.min_scalar_type(2 * q))
+        self.span = span.reshape((q,) * t + (n,))
 
     def family(self, p: int, later: tuple[int, ...]) -> np.ndarray:
         """The zero masks of row family (p, later), as one array in the order
@@ -308,13 +318,16 @@ class CandidateScan:
 
     def stream(self, p: int, later: tuple[int, ...]):
         """The `_zero_masks` steps of row family (p, later)."""
-        return _zero_masks(self.off[p], self._dirs(p, later), self.q, self.words)
+        return _zero_masks(self.off[p], *self._split(p, later), self.q, self.words)
 
-    def _dirs(self, p: int, later: tuple[int, ...]) -> np.ndarray:
-        """The directions of row family (p, later), in order, so axis t of
-        p's block is direction p + 1 + t, the last L C_1."""
-        free = [j for j in range(p + 1, self.width) if j not in later]
-        return np.concatenate([self.off[free], self.sub_evals])
+    def _split(self, p: int, later: tuple[int, ...]):
+        """Row family (p, later)'s head directions and its rows of the span,
+        where the tail digits it lacks, those before direction p and those
+        of the later pivots, are 0."""
+        fb, t = self.first_block, self.span.ndim - 1
+        head = [i for i in range(p, fb) if i + 1 not in later]
+        cut = tuple(0 if i < p or i + 1 in later else slice(None) for i in range(fb, fb + t))
+        return self.head_dirs[head], self.span[cut].reshape(-1, self.n)
 
     def rank(self, r: int) -> RankCounts:
         """Rank r's pass; BudgetExceededError when its visited count exceeds
@@ -338,16 +351,16 @@ class CandidateScan:
         return RankCounts(total, family_count, max_vanishing, self.n - max_vanishing)
 
     def _rank_one_steps(self):
-        """The zero counts of every codeword, family by family.  A block is
-        read in place when it is built, or built when a higher rank of the
-        group passes its gate and will read it; otherwise the family's zeros
+        """The zero counts of every codeword, family by family.  When a
+        higher rank of the group passes its gate, and so builds or has built
+        the blocks, rank 1 reads them in place; otherwise the family's zeros
         are counted without masks."""
         higher = any(s > 1 and total <= self.budget for s, total in self.visited.items())
         for p in range(self.width):
-            if p in self.blocks or higher and p >= self.first_block:
+            if higher and p >= self.first_block:
                 yield _popcounts(self.family(p, ()))
             else:
-                yield from _zero_counts(self.off[p], self._dirs(p, ()), self.q, self.words)
+                yield from _zero_counts(self.off[p], *self._split(p, ()), self.q, self.words)
 
     def _visits(self, i: int, later: tuple[int, ...], outer: list[np.ndarray]):
         """Pairs (row-0 masks, outer) below a node of the walk: rows i + 1..
@@ -375,65 +388,50 @@ class CandidateScan:
 _SCAN_BATCH = 1 << 14
 
 
-def _zero_masks(base: np.ndarray, dirs: np.ndarray, q: int, words: int):
-    """Zero sets of the codewords base + sum_t v_t dirs[t] mod q, for v in
-    F_q^len(dirs), as bitmasks of `words` uint64 words: yields arrays of
-    shape (c, words), at most _SCAN_BATCH words each, in the order of
-    `digits` (dirs[0] most significant), so the steps joined reshape to one
-    axis per direction, in order.
+def _zero_masks(base: np.ndarray, head_dirs: np.ndarray, rows: np.ndarray, q: int, words: int):
+    """Zero sets of the codewords base + sum_t v_t head_dirs[t] - row mod q,
+    for v in F_q^len(head_dirs) in `digits` order and, under each v, each
+    row of `rows` in order, as bitmasks of `words` uint64 words: yields
+    arrays of shape (c, words), at most _SCAN_BATCH words each.
 
-    v splits into a head, its first digits, and a tail, the rest: a codeword
-    vanishes at a point exactly where the head's value there equals minus
-    the tail's, so each step compares a block of heads with every tail, in
-    the smallest unsigned type that holds 2q.  Both are padded to 64 * words
-    columns, heads with 0 and tails with q, which no residue equals, so each
-    comparison fills whole mask words that `packbits` turns into masks."""
+    A codeword vanishes at a point exactly where the head's value there
+    equals the row's, so each step compares a block of heads with every
+    row, in `rows`' unsigned dtype, which holds 2q.  Both are padded to
+    64 * words columns, heads with 0 and rows with q, which no residue
+    equals, so each comparison fills whole mask words that `packbits` turns
+    into masks."""
     n = len(base)
-    span, heads = _head_tail(base, dirs, q, words)
-    tail = np.full((len(span), 64 * words), q, dtype=span.dtype)
-    tail[:, :n] = span
-    for head in heads:
-        padded = np.zeros((len(head), 64 * words), dtype=span.dtype)
+    tail = np.full((len(rows), 64 * words), q, dtype=rows.dtype)
+    tail[:, :n] = rows
+    for head in _heads(base, head_dirs, rows, q, words):
+        padded = np.zeros((len(head), 64 * words), dtype=rows.dtype)
         padded[:, :n] = head
         zero = padded[:, None, :] == tail
         yield np.packbits(zero, bitorder="little").view(np.uint64).reshape(-1, words)
 
 
-def _zero_counts(base: np.ndarray, dirs: np.ndarray, q: int, words: int):
-    """The zero counts of the codewords of `_zero_masks(base, dirs, q,
-    words)`, in its order and steps, without the masks: the span of minus
-    the tails, transposed to one row per point, is compared with each
-    head's value there, and the matches summed over the points.  The inner
-    loops run over contiguous tails, not over mask words."""
-    span, heads = _head_tail(base, dirs, q, words)
-    columns = np.ascontiguousarray(span.T)
+def _zero_counts(base: np.ndarray, head_dirs: np.ndarray, rows: np.ndarray, q: int, words: int):
+    """The zero counts of the codewords of `_zero_masks(base, head_dirs,
+    rows, q, words)`, in its order and steps, without the masks: the rows,
+    transposed to one row per point, are compared with each head's value
+    there, and the matches summed over the points.  The inner loops run
+    over contiguous rows, not over mask words."""
+    columns = np.ascontiguousarray(rows.T)
     count_type = np.min_scalar_type(len(base))
-    for head in heads:
+    for head in _heads(base, head_dirs, rows, q, words):
         zero = head[:, :, None] == columns
         yield zero.view(np.uint8).sum(axis=1, dtype=count_type).reshape(-1)
 
 
-def _head_tail(base: np.ndarray, dirs: np.ndarray, q: int, words: int):
-    """The head/tail split of `_zero_masks`: the tail takes the last digits,
-    as many as keep its q^t masks within _SCAN_BATCH words, and a step as
-    many heads as keep its masks within it too.  Returns the span of minus
-    the tails and an iterator over the steps' head values, both in the
-    smallest unsigned type that holds 2q."""
-    tail_len = max(
-        (t for t in range(len(dirs) + 1) if q**t * words <= _SCAN_BATCH), default=0
-    )
-    head_dirs = dirs[: len(dirs) - tail_len]
-    dtype = np.min_scalar_type(2 * q)
-    span = _span(-dirs[len(head_dirs) :] % q, q, dtype)
-    step = max(1, _SCAN_BATCH // (len(span) * words))
+def _heads(base: np.ndarray, head_dirs: np.ndarray, rows: np.ndarray, q: int, words: int):
+    """The head values base + sum_t v_t head_dirs[t] mod q of the steps of
+    `_zero_masks`, in `digits` order and `rows`' dtype: as many heads a step
+    as keep its masks, one per (head, row), within _SCAN_BATCH words."""
+    step = max(1, _SCAN_BATCH // (len(rows) * words))
     count = q ** len(head_dirs)
-
-    def heads():
-        for lo in range(0, count, step):
-            coeffs = digits(lo, min(lo + step, count), [q] * len(head_dirs))
-            yield ((base + coeffs @ head_dirs) % q).astype(dtype)
-
-    return span, heads()
+    for lo in range(0, count, step):
+        coeffs = digits(lo, min(lo + step, count), [q] * len(head_dirs))
+        yield ((base + coeffs @ head_dirs) % q).astype(rows.dtype)
 
 
 def _popcounts(masks: np.ndarray) -> np.ndarray:

@@ -511,6 +511,26 @@ def test_r_out_of_range_is_config_error(capsys, tmp_path):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    # the first group's ranks 2..5 overflow the budget, and the second
+    # group's rank range is out of bounds
+    ("q = 5\ns = 3\nsource = torus\n\n[query]\nd = 2\nr = all\n\n[query]\nd = 1\nr = 1..9\n",
+     "line 9: r up to 9 exceeds k - k1 = 3 at d = 1"),
+    # the degree-1 group's one rank overflows the budget, and the degree-2
+    # code (k = 3) is too long for q
+    ("q = 2147483647\nsource = file\npoints_file = line.txt\n\n[query]\nd = 1..2\n",
+     "q = 2147483647 is too large for exact int64 arithmetic: (q - 1)^2 * 3 must stay "
+     "below 2^63, which needs q <= 1753413057"),
+], ids=["rank range", "modulus"])
+def test_weights_refuses_a_later_group_before_any_cell(capsys, tmp_path, text, message):
+    # every group is checked before the first one is computed, so stderr
+    # holds the config error alone, with no budget line before it
+    (tmp_path / "line.txt").write_text("1:0\n0:1\n1:1\n")
+    (tmp_path / "w.cfg").write_text(text)
+    assert run(capsys, ["weights", "--config", str(tmp_path / "w.cfg"), "--budget", "100"]) == (
+        2, "", f"config error: {message}\n")
+
+
 @pytest.mark.parametrize("dmax", [-1, 0])
 def test_dmax_below_one_is_config_error(capsys, tmp_path, dmax):
     # dmax = 0 must not read as unset, nor a negative dmax reach the grid code

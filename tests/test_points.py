@@ -111,6 +111,8 @@ def test_parse_errors_carry_line_numbers():
         parse_points("1:0\n0:1\n2:0\n", 5)  # [2:0] duplicates [1:0]
     with pytest.raises(ValueError, match="line 2"):
         parse_points("1:0\n1:2:3\n", 5)
+    with pytest.raises(ValueError, match="^line 2: projective point needs a nonzero coordinate$"):
+        parse_points("1:0\n0:0\n", 5)
 
 
 def test_single_point_vanishing_ideal():
@@ -282,6 +284,7 @@ def test_evaluation_matrix_known_rows():
     assert (rows == 1).all()  # torus points are normalized to t1 = 1
     member = ring.parse("t1^2 - t4^2")
     assert (evaluation_matrix(X, [member]) == 0).all()
+    assert evaluation_matrix(X, []).shape == (0, 8)
 
 
 def test_evaluation_matrix_rejects_bad_bases():

@@ -89,6 +89,21 @@ def test_rgff_requires_rank_arguments():
         FootprintProfile(ideal, 1, 2).value(0)
 
 
+def test_profile_refuses_ranks_past_rmax_within_the_pool():
+    # torus of P^2/F_5 at d = 2: the pool has 6 monomials and fp(2, 2) = 11.
+    # A profile searched to rmax = 1 knows nothing of rank 2, so it refuses
+    # it rather than answer the total degree 16, which is no lower bound;
+    # past the pool no subset exists and the total degree is the value
+    ideal = projective_torus(5, 3).vanishing_ideal()
+    profile = FootprintProfile(ideal, 2, 1)
+    assert len(profile.pool) == 6 and FootprintProfile(ideal, 2, 2).value(2) == 11
+    for r in (2, 6):
+        with pytest.raises(ValueError, match="rmax = 1"):
+            profile.value(r)
+    assert profile.value(1) == FootprintProfile(ideal, 2).value(1)
+    assert profile.value(7) == FootprintProfile(ideal, 2).value(7) == 16
+
+
 def test_footprint_profile_against_subset_enumeration(seed=70111):
     # direct route: a subset M is admissible when (J : M) != J, and scores
     # deg(S/(J + M)); the DFS mask engine must match it subset by subset
@@ -345,6 +360,8 @@ def test_admissible_counts_match_combinations(seed=16016):
         ]
         assert admissible_counts(_WitnessFamily(witness), 1, rmax) == expected, witness
     assert admissible_counts(_WitnessFamily([0b11, 0b01, 0b01]), 1, 3) == [0, 3, 3, 1]
+    # up to rank 0 only the empty subset is left, and it is not counted
+    assert admissible_counts(projective_torus(3, 4).vanishing_ideal(), 1, 0) == [0]
 
 
 def test_weight_triple_on_torus_subcode():
@@ -503,19 +520,22 @@ def _zero_mask_words(codeword, words):
 @pytest.mark.parametrize("q, s, npoints, d", [(3, 4, 20, 2), (11, 3, 70, 1)])
 def test_row_families_list_codewords_in_digit_order(monkeypatch, batch, q, s, npoints, d):
     # family(p, later) holds the zero masks of off[p] + v @ dirs, dirs the
-    # free off-pivot rows after p and then C_1's, for v in `digits` order
-    # (first direction most significant), whether the family is sliced from
-    # p's block or joined from streamed steps, on one and two mask words
+    # free off-pivot rows after p and then C_1's evaluated rows, for v in
+    # `digits` order (first direction most significant), whether the family
+    # is sliced from p's block or joined from streamed steps of its heads and
+    # its slice of the span, on one and two mask words
     monkeypatch.setattr(weights, "_SCAN_BATCH", batch)
     rng = random.Random(npoints)
     code = build_code(random_point_set(rng, q, s, npoints), d)
-    scan = CandidateScan(code.generator_rows, q, [1], random_subcode(rng, code, 1))
+    sub = random_subcode(rng, code, 1)
+    scan = CandidateScan(code.generator_rows, q, [1], sub)
     assert scan.words == (2 if npoints > 64 else 1)
+    sub_evals = sub @ code.generator_rows % q
     for p in range(scan.width):
         after = range(p + 1, scan.width)
         for later in {(), tuple(j for j in after if rng.random() < 0.5)}:
             free = [j for j in after if j not in later]
-            dirs = np.concatenate([scan.off[free], scan.sub_evals])
+            dirs = np.concatenate([scan.off[free], sub_evals])
             m = len(dirs)
             codewords = (scan.off[p] + digits(0, q**m, [q] * m) @ dirs) % q
             want = [_zero_mask_words(c, scan.words) for c in codewords]
@@ -556,14 +576,40 @@ def test_rank_one_counts_match_the_mask_route(monkeypatch, batch, q, s, npoints,
             assert got == _rank_one_by_masks(scan), (k1, ranks)
             if not k1:
                 assert got.min_support == minimum_distance_scan(code)
-        for p in range(scan.width):
-            args = scan.off[p], scan._dirs(p, ()), q, scan.words
+        # also on the smaller span slices of families under later pivots
+        for p, later in ((p, later) for p in range(scan.width)
+                         for later in {(), tuple(range(p + 1, scan.width, 2))}):
+            args = scan.off[p], *scan._split(p, later), q, scan.words
             counts = list(weights._zero_counts(*args))
             masks = list(weights._zero_masks(*args))
             assert [c.tolist() for c in counts] == \
-                [np.bitwise_count(m).sum(axis=1).tolist() for m in masks], (k1, p)
+                [np.bitwise_count(m).sum(axis=1).tolist() for m in masks], (k1, p, later)
         streamed += scan.first_block > 0
     assert streamed == 2 or batch == 1 << 14
+
+
+def test_scan_spans_the_tail_once(monkeypatch):
+    # with a step of 64 masks the degree-2 code of 8 points of P^2/F_3
+    # (k = 6) has a tail of 3 directions: row 0 streams the families of the
+    # first pivots, the last pivots get blocks, and every family of every
+    # rank, with and without a subcode, is cut from the one span of the tail
+    monkeypatch.setattr(weights, "_SCAN_BATCH", 64)
+    spans = []
+    span = weights._span
+    monkeypatch.setattr(weights, "_span", lambda *args: spans.append(args) or span(*args))
+    rng = random.Random(8)
+    code = build_code(random_point_set(rng, 3, 3, 8), 2)
+    assert code.k == 6
+    for k1 in (0, 1):
+        sub = random_subcode(rng, code, k1)
+        spans.clear()
+        group = CandidateScan(code.generator_rows, 3, range(1, 7 - k1), sub)
+        for r in range(1, 7 - k1):
+            scan = group.rank(r)
+            assert (scan.min_support, scan.family_count, scan.feasible_count) == \
+                rghw_by_support_scan(code, sub, r), (k1, r)
+        assert 0 < group.first_block < group.width and group.blocks
+        assert len(spans) == 1, k1
 
 
 def test_rank_one_pass_memory_stays_bounded_in_bytes():
