@@ -258,7 +258,7 @@ class Problem:
             rows = projective_zero_set(self.config.q, self.config.s, self.given_ideal.gens)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        return ProjectivePointSet(self.ring.field, rows) if len(rows) else None
+        return ProjectivePointSet._from_standard_rows(self.ring.field, rows) if len(rows) else None
 
     def point_ideal(self) -> Ideal:
         return self.X.vanishing_ideal(self.order)

@@ -4,6 +4,7 @@ vanishing ideals, and zero sets."""
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import prod
 from operator import index
 
@@ -12,7 +13,7 @@ import numpy as np
 from .field import PrimeField
 from .groebner import Ideal
 from .linalg import count_text, digits, require_exact_int64, rref
-from .monideal import MonomialIdeal, monomial_quotient_degree
+from .monideal import GradedQuotientSummary, MonomialIdeal, monomial_quotient_degree
 from .polyring import GREVLEX, MonomialOrder, PolyRing, Polynomial, monomial
 
 
@@ -21,7 +22,8 @@ class ProjectivePointSet:
     (n, s) int64 array `coords` whose rows are in standard position: residues
     in [0, q), scaled so the first nonzero one equals 1.  The row order fixes
     the codeword coordinate layout and is never changed after construction.
-    Iterating or indexing gives the rows as tuples of ints."""
+    Iterating or indexing gives the rows as tuples of ints.  `factors` is
+    None unless the set is a grid (see _from_standard_rows)."""
 
     def __init__(self, field: PrimeField, points):
         q = field.q
@@ -45,10 +47,25 @@ class ProjectivePointSet:
             if j < 0:
                 raise ValueError("projective point needs a nonzero coordinate")
             raise ValueError("duplicate point [" + ":".join(map(str, coords[i])) + "]")
+        self._adopt(field, coords, None)
+
+    @classmethod
+    def _from_standard_rows(cls, field: PrimeField, coords: np.ndarray, factors=None):
+        """The point set on an (n, s) int64 array whose rows the caller built
+        nonzero, distinct and in standard position; nothing is re-checked.
+        `factors`, when given, are sets A_1..A_(s-1) of residues with X the
+        image of A_1 x ... x A_(s-1) under x -> [x : 1] (see _grid_ideal)."""
+        require_exact_int64(field.q)
+        X = cls.__new__(cls)
+        X._adopt(field, coords, factors)
+        return X
+
+    def _adopt(self, field: PrimeField, coords: np.ndarray, factors) -> None:
         coords.flags.writeable = False
         self.field = field
         self.coords = coords
         self.s = coords.shape[1]
+        self.factors = factors
         self._ideal_cache: dict[str, Ideal] = {}
 
     def __len__(self) -> int:
@@ -61,8 +78,11 @@ class ProjectivePointSet:
         return tuple(self.coords[i].tolist())
 
     def vanishing_ideal(self, order: MonomialOrder = GREVLEX) -> Ideal:
+        """I_X with its reduced Groebner basis under `order`: in closed form
+        when X is a grid (`factors` is set), else by linear algebra."""
         if order.name not in self._ideal_cache:
-            self._ideal_cache[order.name] = vanishing_ideal(self, order)
+            build = vanishing_ideal if self.factors is None else _grid_ideal
+            self._ideal_cache[order.name] = build(self, order)
         return self._ideal_cache[order.name]
 
     def __repr__(self) -> str:
@@ -122,7 +142,9 @@ def projective_torus(q: int, s: int) -> ProjectivePointSet:
     if s < 2:
         raise ValueError(f"ambient dimension s must be at least 2, got {s}")
     _require_enumerable((q - 1) ** (s - 1))
-    return ProjectivePointSet(field, _lex_grid([[1]] + [range(1, q)] * (s - 1)))
+    coords = _lex_grid([[1]] + [range(1, q)] * (s - 1))
+    # the torus is the grid with every factor F_q^*: x_i / x_s is nonzero
+    return ProjectivePointSet._from_standard_rows(field, coords, (tuple(range(1, q)),) * (s - 1))
 
 
 def affine_cartesian(q: int, factors) -> ProjectivePointSet:
@@ -138,7 +160,9 @@ def affine_cartesian(q: int, factors) -> ProjectivePointSet:
     if not sets:
         raise ValueError("need at least one factor")
     _require_enumerable(prod(map(len, sets)))
-    return ProjectivePointSet(field, _lex_grid(sets + [[1]]))
+    require_exact_int64(q)
+    coords = _standard_position(_lex_grid(sets + [[1]]), q)
+    return ProjectivePointSet._from_standard_rows(field, coords, tuple(map(tuple, sets)))
 
 
 def all_projective_points(q: int, s: int) -> ProjectivePointSet:
@@ -148,7 +172,7 @@ def all_projective_points(q: int, s: int) -> ProjectivePointSet:
     if s < 1:
         raise ValueError(f"ambient dimension s must be at least 1, got {s}")
     _require_enumerable((q**s - 1) // (q - 1))
-    return ProjectivePointSet(field, projective_zero_set(q, s, ()))
+    return ProjectivePointSet._from_standard_rows(field, projective_zero_set(q, s, ()))
 
 
 def parse_points(text: str, q: int) -> ProjectivePointSet:
@@ -353,6 +377,56 @@ def _border(standard: list[tuple[int, ...]]) -> dict[tuple[int, ...], tuple[int,
             if all(u[:j] + (u[j] - 1,) + u[j + 1 :] in index for j in support if j != i):
                 border[u] = (k, i)
     return border
+
+
+def _grid_ideal(X: ProjectivePointSet, order: MonomialOrder) -> Ideal:
+    """The vanishing ideal of a grid X, the image of A_1 x ... x A_(s-1)
+    under x -> [x : 1] (X.factors), in closed form: its reduced Groebner
+    basis is f_i = prod_{a in A_i} (t_i - a t_s), i < s (Lopez,
+    Renteria-Marquez and Villarreal, "Affine cartesian codes", DCC 2014;
+    t_i^(q-1) - t_s^(q-1) on the torus).
+
+    Each f_i vanishes on X, since x_i / x_s lies in A_i at every point.
+    Every order in ORDERS puts t_i above t_s, so the leading monomial of
+    f_i is t_i^|A_i|; these are pairwise coprime, so the f_i are a Groebner
+    basis of the ideal J they generate, and it is reduced: no tail monomial
+    t_i^j t_s^(|A_i|-j), j < |A_i|, is divisible by a leading one.  t_s
+    divides no leading monomial, so J is saturated, and S/J has the Hilbert
+    function of the standard monomials t^u t_s^e with u_i < |A_i|: H(d) is
+    the sum of the coefficients of prod_i (1 + x + ... + x^(|A_i|-1))
+    through degree d.  So deg S/J = prod |A_i| = |X|, reached in degree
+    sum (|A_i| - 1).  J lies inside I_X and has its degree, so the two
+    agree in high degree; J is saturated, so J = I_X.
+
+    The summary lists H through degree sum |A_i| + 1, as
+    monomial_quotient_degree does for the same initial ideal; no point is
+    evaluated and no cell array is built."""
+    ring = PolyRing(X.field, X.s)
+    q = X.field.q
+    s = X.s
+    basis, sizes = [], []
+    for i, A in enumerate(X.factors):
+        # coefficients of prod_{a in A} (x - a), constant term first
+        coeffs = [1]
+        for a in A:
+            coeffs = [(lo - a * hi) % q for lo, hi in zip([0] + coeffs, coeffs + [0])]
+        m = len(A)
+        terms = {}
+        for j, c in enumerate(coeffs):
+            if c:
+                terms[tuple(j if v == i else m - j if v == s - 1 else 0 for v in range(s))] = c
+        basis.append(Polynomial(ring, terms))
+        sizes.append(m)
+    basis.sort(key=lambda f: order.key(f.leading_monomial(order)))
+    initial = MonomialIdeal(s, [f.leading_monomial(order) for f in basis])
+    # counts[j]: the standard monomials of degree j in t_1..t_(s-1)
+    counts = [1]
+    for m in sizes:
+        counts = [sum(counts[max(0, j - m + 1) : j + 1]) for j in range(len(counts) + m - 1)]
+    values = list(accumulate(counts))
+    values += [values[-1]] * (sum(sizes) + 2 - len(values))
+    summary = GradedQuotientSummary(tuple(values), 1, values[-1], len(counts) - 1)
+    return Ideal._from_reduced_basis(ring, basis, order, initial, summary)
 
 
 def zero_set(X: ProjectivePointSet, polys) -> np.ndarray:

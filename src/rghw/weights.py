@@ -33,7 +33,9 @@ class FootprintProfile:
       reach mask 0 an (m + j)-subset below a node scores at most the j-th
       largest kid popcount, and the node is cut when that is at most the
       best of size m + j for every j >= 2; a kid whose mask cannot reach 0
-      is not entered when its popcount is at most the least best past it;
+      is not entered when its popcount is at most the least best of the
+      sizes it can reach below (one per later sibling: a kid's kids are
+      among its later siblings, so a kid with none is never entered);
     - zero mask: once the mask is 0 the quotient is finite and only shrinks,
       so a kid whose length is at most that least best is not entered;
     - dominance: a dominates b when the survival mask of a contains that of
@@ -124,7 +126,7 @@ class FootprintProfile:
                         score = max(score, below + (amask & alive[i]).bit_count())
                     elif not dominators[i] & ~chosen:
                         score = max(score, s.bit_count())
-                    kids.append((-s.bit_count(), i, w, s))
+                    kids.append((-s.bit_count(), i, len(kids), w, s))
             best[size + 1] = score
             kids.sort()  # largest popcount first
             # a subset of size + j below this node scores at most the j-th
@@ -134,10 +136,14 @@ class FootprintProfile:
                 for j in range(2, min(len(kids), rmax - size) + 1)
             ):
                 return
-            floor = min(best[size + 2 :])  # what a deeper subset must beat
-            for neg, i, w, s in kids:
-                if safe and dominators[i] & ~chosen:
+            for neg, i, at, w, s in kids:
+                # the kid's own kids are among its later siblings: w only
+                # shrinks and safe here makes the kid safe, so a kid with
+                # m of them reaches at most m sizes deeper
+                later = len(kids) - 1 - at
+                if not later or safe and dominators[i] & ~chosen:
                     continue
+                floor = min(best[size + 2 : size + 2 + later])  # what it must beat
                 a = amask & alive[i]
                 if s:
                     keep = -neg > floor or not s & tail_kill[i + 1]
@@ -145,7 +151,6 @@ class FootprintProfile:
                     keep = below + a.bit_count() > floor
                 if keep:
                     search(i + 1, size + 1, w, s, a, chosen | 1 << i)
-                    floor = min(best[size + 2 :])
 
         search(0, 0, -1, full, -1, 0)
         self.best = [None if b < 0 else b for b in best]

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
@@ -440,12 +441,12 @@ def test_footprint_walk_budget_marks_and_exit_3(capsys, tmp_path):
         "function = fp\ndmax = 2\n"
     )
     code, out, err = run(capsys, ["matrix", "--config", str(tmp_path / "t.cfg"),
-                                  "--format", "csv", "--budget", "8"])
+                                  "--format", "csv", "--budget", "7"])
     assert code == 3
-    # d = 1 expands 3 nodes; d = 2 needs 9, passes 8 and marks its 6 cells
+    # d = 1 expands 2 nodes; d = 2 needs 8, passes 7 and marks its 6 cells
     assert out == "d,r1,r2,r3,r4,r5,r6\n1,12,15,16,-,-,-\n2,!,!,!,!,!,!\n"
     assert err.splitlines() == [
-        f"line 5, d=2, r={r}: enumeration passed the budget of 8 candidates"
+        f"line 5, d=2, r={r}: enumeration passed the budget of 7 candidates"
         for r in range(1, 7)
     ]
     (tmp_path / "w.cfg").write_text(
@@ -639,6 +640,26 @@ def test_torus_fp_matrix_past_the_subset_walk(capsys, tmp_path):
         assert all(a < b for a, b in zip(row[1:], row[2:]))
     assert [row[1] for row in rows] == [90, 80, 70, 60, 50, 40]
     assert len(rows[-1]) - 1 == 28
+
+
+def test_weights_on_a_thousand_point_torus(capsys, tmp_path):
+    # torus of P^3/F_11: n = 1000, k = 4 at d = 1.  Its vanishing ideal is
+    # built in closed form; the row-reduction route took about a minute
+    (tmp_path / "t.cfg").write_text("q = 11\ns = 4\nsource = torus\n[query]\nd = 1\nr = 1..2\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["weights", "--config", str(tmp_path / "t.cfg"),
+                                  "--format", "csv"])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and err == ""
+    assert mask_ms(out) == (
+        "d,r,k1,G,fp,delta,vasconcelos,Mr,singleton,cand_poly,cand_mono,ms\n"
+        "1,1,0,,900,900,900,-,997,1460,3,MS\n"
+        "1,2,0,,990,990,990,-,998,15700,3,MS\n"
+    )
+    assert elapsed < 5.0, f"weights on the torus of P^3/F_11 took {elapsed:.1f} s"
+    code, out, err = run(capsys, ["code-info", "--config", str(tmp_path / "t.cfg"),
+                                  "--format", "csv"])
+    assert code == 0 and out == "d,n,k,reg\n1,1000,4,27\n"
 
 
 def test_modulus_beyond_int64_is_config_error(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Projective point sets: normalization, constructors, parsing, evaluation
 matrices, vanishing ideals, and zero sets."""
 
+import itertools
 import random
 import time
 
@@ -10,7 +11,7 @@ import pytest
 from rghw.field import PrimeField
 from rghw.groebner import Ideal
 from rghw.linalg import ModulusTooLargeError, matrix_rank
-from rghw.monideal import GradedQuotientSummary, MonomialIdeal
+from rghw.monideal import GradedQuotientSummary, MonomialIdeal, monomial_quotient_degree
 from rghw import points
 from rghw.points import (
     ProjectivePointSet,
@@ -148,10 +149,12 @@ def test_coordinate_points_certify_fast():
 
 
 def test_torus_ideals_match_binomial_presentations():
+    # both routes: the closed form for grids and the linear algebra
     X2 = projective_torus(5, 3)
     ring3 = PolyRing(PrimeField(5), 3)
     shown2 = Ideal(ring3, [ring3.parse("t1^4 - t3^4"), ring3.parse("t2^4 - t3^4")])
     assert ideal_equal(X2.vanishing_ideal(), shown2)
+    assert ideal_equal(points.vanishing_ideal(X2), shown2)
 
     X3 = projective_torus(3, 4)
     ring4 = PolyRing(PrimeField(3), 4)
@@ -160,6 +163,69 @@ def test_torus_ideals_match_binomial_presentations():
         [ring4.parse("t1^2 - t4^2"), ring4.parse("t2^2 - t4^2"), ring4.parse("t3^2 - t4^2")],
     )
     assert ideal_equal(X3.vanishing_ideal(), shown3)
+    assert ideal_equal(points.vanishing_ideal(X3), shown3)
+
+
+def grid_point_sets():
+    """The tori with q <= 7, s <= 4 and at most 64 points, then 30 seeded
+    random Cartesian sets with q <= 7, s <= 4 and at most 64 points."""
+    for q in (2, 3, 5, 7):
+        for s in (2, 3, 4):
+            if (q - 1) ** (s - 1) <= 64:
+                yield projective_torus(q, s)
+    rng = random.Random(2014)
+    count = 0
+    while count < 30:
+        q = rng.choice([2, 3, 5, 7])
+        factors = [rng.sample(range(q), rng.randint(1, q)) for _ in range(rng.choice([1, 2, 3]))]
+        if np.prod([len(A) for A in factors]) <= 64:
+            count += 1
+            yield affine_cartesian(q, factors)
+
+
+def test_grid_ideals_match_linear_algebra_and_buchberger():
+    for X in grid_point_sets():
+        assert X.factors is not None
+        for order in ORDERS.values():
+            got = X.vanishing_ideal(order)
+            for want in (points.vanishing_ideal(X, order), vanishing_ideal_by_buchberger(X, order)):
+                assert got.groebner_basis() == want.groebner_basis(), (X, order)
+                assert got.initial_ideal().gens == want.initial_ideal().gens, (X, order)
+                assert got.quotient_summary() == want.quotient_summary(), (X, order)
+
+
+def test_grid_summary_is_the_monomial_quotient_degree(seed=3000):
+    # larger grids than the oracles reach, including factors of one element
+    rng = random.Random(seed)
+    for _ in range(100):
+        q = rng.choice([2, 3, 5, 7, 11, 13])
+        factors = [rng.sample(range(q), rng.randint(1, q)) for _ in range(rng.randint(1, 4))]
+        if np.prod([len(A) for A in factors]) > 5000:
+            continue
+        X = affine_cartesian(q, factors)
+        assert {tuple(map(int, row[:-1] * pow(int(row[-1]), -1, q) % q)) for row in X.coords} \
+            == set(itertools.product(*(map(int, A) for A in X.factors)))
+        for order in ORDERS.values():
+            ideal = X.vanishing_ideal(order)
+            assert ideal.quotient_summary() == monomial_quotient_degree(ideal.initial_ideal())
+            assert ideal.degree() == len(X)
+
+
+def test_constructor_rows_are_distinct_and_standard():
+    # the constructors skip the point-set checks, so their rows must pass them
+    conic = PolyRing(PrimeField(5), 3).parse("t1^2 - t2*t3")
+    for q, coords in [
+        (5, projective_torus(5, 3).coords),
+        (2, projective_torus(2, 4).coords),
+        (7, affine_cartesian(7, [(0, 3, 5), (6, 2), (4,)]).coords),
+        (5, affine_cartesian(5, [range(5)] * 3).coords),
+        (3, all_projective_points(3, 4).coords),
+        (2, all_projective_points(2, 1).coords),
+        (5, projective_zero_set(5, 3, [conic])),
+    ]:
+        assert points._first_repeat(coords) is None
+        assert np.array_equal(points._standard_position(coords, q), coords)
+        assert ((0 <= coords) & (coords < q)).all()
 
 
 def test_vanishing_ideal_generators_vanish(seed=82901):
