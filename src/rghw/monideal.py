@@ -113,10 +113,9 @@ class MonomialIdeal:
 
     def degree_slice(self, d: int) -> list[tuple[int, ...]]:
         """Standard monomials (monomials outside J) of total degree d, in
-        increasing lexicographic order.  A pure power t_j^e in J caps
-        exponent j at e - 1, so the walk stays near the standard monomials."""
-        caps = [d if e is None else e - 1 for e in self.pure_power_exponents()]
-        return [m for m in monomials_of_degree(self.nvars, d, caps) if not self.contains(m)]
+        increasing lexicographic order, from the walk that cuts every
+        prefix J's generators already fit (polyring.monomials_of_degree)."""
+        return monomials_of_degree(self.nvars, d, self.gens)
 
     def hilbert_function(self, d: int) -> int:
         return len(self.degree_slice(d))

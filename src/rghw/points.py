@@ -14,7 +14,7 @@ from .field import PrimeField
 from .groebner import Ideal
 from .linalg import count_text, digits, require_exact_int64, rref
 from .monideal import GradedQuotientSummary, MonomialIdeal, monomial_quotient_degree
-from .polyring import GREVLEX, MonomialOrder, PolyRing, Polynomial, monomial
+from .polyring import GREVLEX, MonomialOrder, PolyRing, Polynomial, monomial, monomials_of_degree
 
 
 class ProjectivePointSet:
@@ -286,15 +286,15 @@ def vanishing_ideal(X: ProjectivePointSet, order: MonomialOrder = GREVLEX) -> Id
 
     L is the monomial ideal of the leading monomials found so far.  In each
     degree d the evaluation matrix has one column per degree-d monomial
-    outside L, in increasing order: the products t_i m of the degree-(d-1)
-    standard monomials m whose degree-(d-1) divisors are all standard
-    (`_border`), and the column of t_i m is that of m times coordinate i.  A
-    monomial in L is never a pivot (its column is a combination of smaller
-    standard columns), so leaving it out changes no pivot and no kernel
-    vector.  The RREF has the standard monomials as pivot columns; a free
-    column m is a new leading monomial of I_X, and the kernel vector
-    m - sum R[i, m] * pivot_i is the monic, tail-reduced basis element with
-    leading monomial m.
+    outside L, in increasing order (monomials_of_degree avoiding L).  For u
+    with first nonzero exponent at i, u / t_i lies outside L too, so it is
+    a standard monomial of degree d - 1, and the column of u is that of
+    u / t_i times coordinate i.  A monomial in L is never a pivot (its
+    column is a combination of smaller standard columns), so leaving it out
+    changes no pivot and no kernel vector.  The RREF has the standard
+    monomials as pivot columns; a free column m is a new leading monomial
+    of I_X, and the kernel vector m - sum R[i, m] * pivot_i is the monic,
+    tail-reduced basis element with leading monomial m.
 
     Degrees are added until L certifies itself: dim S/L <= 1, deg S/L =
     |X|, and the regularity index of S/L is the first degree where the
@@ -309,17 +309,16 @@ def vanishing_ideal(X: ProjectivePointSet, order: MonomialOrder = GREVLEX) -> Id
     basis: list[Polynomial] = []
     leads: list[tuple[int, ...]] = []
     # the standard monomials of the last degree and their evaluation rows
-    standard, evals = [(0,) * X.s], np.ones((1, n), dtype=np.int64)
+    standard, evals = [], np.ones((1, n), dtype=np.int64)
     rank_reached = None
     d = 0
     while True:
+        monomials = order.sorted(monomials_of_degree(X.s, d, leads))
         if d:
-            border = _border(standard)
-            monomials = order.sorted(border)
-            parent, var = np.array([border[m] for m in monomials]).T
+            row = {m: k for k, m in enumerate(standard)}
+            var = [next(j for j, e in enumerate(u) if e) for u in monomials]
+            parent = [row[u[:i] + (u[i] - 1,) + u[i + 1 :]] for u, i in zip(monomials, var)]
             evals = evals[parent] * X.coords.T[var] % q
-        else:
-            monomials = standard
         R, pivots = rref(evals.T, q)
         if rank_reached is None and len(pivots) == n:
             rank_reached = d
@@ -358,27 +357,6 @@ def vanishing_ideal(X: ProjectivePointSet, order: MonomialOrder = GREVLEX) -> Id
     return Ideal._from_reduced_basis(ring, [basis[i] for i in rank], order, initial, summary)
 
 
-def _border(standard: list[tuple[int, ...]]) -> dict[tuple[int, ...], tuple[int, int]]:
-    """The monomials u = t_i m, m in `standard` (the standard monomials of
-    one degree), whose divisors of that degree are all standard: the
-    standard monomials of the next degree and the leading monomials it
-    adds.  Each u maps to (index of m, i) for the first such m."""
-    index = {m: k for k, m in enumerate(standard)}
-    border: dict[tuple[int, ...], tuple[int, int]] = {}
-    tried = set()
-    for k, m in enumerate(standard):
-        support = [j for j, e in enumerate(m) if e]
-        for i in range(len(m)):
-            u = m[:i] + (m[i] + 1,) + m[i + 1 :]
-            if u in tried:
-                continue
-            tried.add(u)
-            # u / t_i = m is standard; u / t_j, j != i, needs m_j > 0
-            if all(u[:j] + (u[j] - 1,) + u[j + 1 :] in index for j in support if j != i):
-                border[u] = (k, i)
-    return border
-
-
 def _grid_ideal(X: ProjectivePointSet, order: MonomialOrder) -> Ideal:
     """The vanishing ideal of a grid X, the image of A_1 x ... x A_(s-1)
     under x -> [x : 1] (X.factors), in closed form: its reduced Groebner
@@ -406,13 +384,17 @@ def _grid_ideal(X: ProjectivePointSet, order: MonomialOrder) -> Ideal:
     s = X.s
     basis, sizes = [], []
     for i, A in enumerate(X.factors):
-        # coefficients of prod_{a in A} (x - a), constant term first
-        coeffs = [1]
-        for a in A:
-            coeffs = [(lo - a * hi) % q for lo, hi in zip([0] + coeffs, coeffs + [0])]
+        # coefficients of prod_{a in A} (x - a), constant term first, one
+        # vector step per root: a * c < q^2 is exact in int64, which the
+        # point set's constructor checked (require_exact_int64)
         m = len(A)
+        coeffs = np.zeros(m + 1, dtype=np.int64)
+        coeffs[0] = 1
+        for a in A:
+            coeffs[1:] = (coeffs[:-1] - a * coeffs[1:]) % q
+            coeffs[0] = -a * coeffs[0] % q
         terms = {}
-        for j, c in enumerate(coeffs):
+        for j, c in enumerate(coeffs.tolist()):
             if c:
                 terms[tuple(j if v == i else m - j if v == s - 1 else 0 for v in range(s))] = c
         basis.append(Polynomial(ring, terms))

@@ -42,23 +42,36 @@ def lcm(a, b) -> tuple[int, ...]:
     return tuple(map(max, a, b))
 
 
-def monomials_of_degree(nvars: int, d: int, caps=None) -> list[tuple[int, ...]]:
-    """The monomials in nvars >= 1 variables of total degree d, in increasing
-    lexicographic order; with caps, only those whose exponent j is at most
-    caps[j]."""
+def monomials_of_degree(nvars: int, d: int, avoid=()) -> list[tuple[int, ...]]:
+    """The monomials in nvars >= 1 variables of total degree d that no
+    monomial in `avoid` divides, in increasing lexicographic order.  The
+    walk sets one exponent at a time: g in `avoid`, last nonzero at j,
+    divides m when its earlier exponents fit m's and g_j <= m_j, so once
+    the prefix covers them g caps exponent j below g_j.  No completion of a
+    cut prefix is visited."""
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
-    caps = [d] * nvars if caps is None else caps
+    # cuts[j]: (g_0..g_(j-1), g_j) for each g of avoid with last nonzero j
+    cuts: list[list] = [[] for _ in range(nvars)]
+    for g in avoid:
+        support = [j for j, e in enumerate(g) if e]
+        if not support:
+            return []
+        cuts[support[-1]].append((g[: support[-1]], g[support[-1]]))
     out: list[tuple[int, ...]] = []
     exps = [0] * nvars
 
     def walk(pos: int, remaining: int):
+        cap = remaining
+        for prefix, e in cuts[pos]:
+            if e <= cap and all(map(le, prefix, exps)):
+                cap = e - 1
         if pos == nvars - 1:
-            if remaining <= caps[pos]:
+            if remaining <= cap:
                 exps[pos] = remaining
                 out.append(tuple(exps))
             return
-        for e in range(min(remaining, caps[pos]) + 1):
+        for e in range(cap + 1):
             exps[pos] = e
             walk(pos + 1, remaining - e)
 

@@ -22,7 +22,7 @@ from oracles import (
 )
 
 from rghw.field import PrimeField
-from rghw.polyring import PolyRing, divides, monomial
+from rghw.polyring import PolyRing, divides, monomial, monomials_of_degree
 from rghw.monideal import (
     FootprintRays,
     GradedQuotientSummary,
@@ -239,29 +239,53 @@ def test_standard_cells_follow_the_cells_not_the_box(J, rays, summary):
     assert time.perf_counter() - start < 1.0
 
 
-def test_degree_slice_enumerates_standard_monomials():
+def brute_slice(nvars, d, gens):
+    return [monomial(e) for e in itertools.product(range(d + 1), repeat=nvars)
+            if sum(e) == d and not any(divides(g, e) for g in gens)]
+
+
+def test_degree_slice_enumerates_standard_monomials(seed=25):
     J = MonomialIdeal(3, [M(4, 0, 0), M(0, 4, 0)])
     for d in range(8):
-        got = J.degree_slice(d)
-        want = {
-            monomial(e)
-            for e in itertools.product(range(d + 1), repeat=3)
-            if sum(e) == d and monomial(e) not in J
-        }
         # in increasing lex order: admissible_counts reads its pool in it
-        assert got == sorted(want)
+        assert J.degree_slice(d) == brute_slice(3, d, J.gens)
     with pytest.raises(ValueError):
         J.degree_slice(-1)
+    # non-minimal generator lists, with and without pure powers and the unit
+    rng = random.Random(seed)
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        gens = [M(*(rng.choice([0, 0, 1, 2, 3]) for _ in range(nvars)))
+                for _ in range(rng.randrange(6))]
+        if rng.random() < 0.3:
+            j = rng.randrange(nvars)
+            gens.append(M(*(rng.randint(1, 4) * (i == j) for i in range(nvars))))
+        gens += [gens[-1]] if gens and rng.random() < 0.3 else []
+        rng.shuffle(gens)
+        J = MonomialIdeal(nvars, gens)
+        for d in range(8):
+            want = brute_slice(nvars, d, gens)
+            assert monomials_of_degree(nvars, d, gens) == want, (gens, d)
+            assert J.degree_slice(d) == want, (gens, d)
 
 
-def test_degree_slice_walks_only_below_the_pure_powers():
-    # J = (t1, ..., t9) in 10 variables leaves one standard monomial in each
-    # degree, among C(d + 9, 9) monomials (211 million at d = 30): the walk
-    # must follow the pure-power caps, not filter every monomial
-    J = MonomialIdeal(10, [tuple(int(i == j) for i in range(10)) for j in range(9)])
+@pytest.mark.parametrize("J, hilbert, slice_", [
+    # (t1, ..., t9) in 10 variables leaves one standard monomial in each
+    # degree, among C(d + 9, 9) monomials (211 million at d = 30)
+    (MonomialIdeal(10, [tuple(int(i == j) for i in range(10)) for j in range(9)]), [1] * 31,
+     [(0,) * 9 + (30,)]),
+    # in(I_X) of the 10 coordinate points of P^9/F_3 is every t_i t_j, which
+    # leaves the 10 pure powers among C(23, 9) = 817,190 monomials at d = 14
+    (MonomialIdeal(10, [tuple(int(k in (i, j)) for k in range(10))
+                        for i, j in itertools.combinations(range(10), 2)]), [1] + [10] * 14,
+     [tuple(14 * (k == i) for k in range(10)) for i in reversed(range(10))]),
+], ids=["one-ray", "coordinate-points"])
+def test_degree_slice_walks_only_the_standard_prefixes(J, hilbert, slice_):
+    # the walk must cut every prefix a generator fits, not filter every
+    # monomial of the degree
     start = time.perf_counter()
-    assert [J.hilbert_function(d) for d in range(31)] == [1] * 31
-    assert J.degree_slice(30) == [(0,) * 9 + (30,)]
+    assert [J.hilbert_function(d) for d in range(len(hilbert))] == hilbert
+    assert J.degree_slice(len(hilbert) - 1) == slice_
     assert time.perf_counter() - start < 1.0
     # the unit ideal has no standard monomials, in any degree
     assert MonomialIdeal(3, [M(0, 0, 0)]).degree_slice(0) == []

@@ -10,8 +10,8 @@ import pytest
 
 from rghw.field import PrimeField
 from rghw.groebner import Ideal
-from rghw.linalg import ModulusTooLargeError, matrix_rank
-from rghw.monideal import GradedQuotientSummary, MonomialIdeal, monomial_quotient_degree
+from rghw.linalg import ModulusTooLargeError, matrix_rank, rref
+from rghw.monideal import GradedQuotientSummary, monomial_quotient_degree
 from rghw import points
 from rghw.points import (
     ProjectivePointSet,
@@ -24,7 +24,7 @@ from rghw.points import (
     projective_zero_set,
     zero_set,
 )
-from rghw.polyring import GREVLEX, GRLEX, LEX, ORDERS, PolyRing
+from rghw.polyring import GREVLEX, GRLEX, LEX, ORDERS, PolyRing, divides, monomials_of_degree
 
 from oracles import ideal_equal, projective_reps, vanishing_ideal_by_buchberger
 
@@ -166,6 +166,17 @@ def test_torus_ideals_match_binomial_presentations():
     assert ideal_equal(points.vanishing_ideal(X3), shown3)
 
 
+def test_torus_ideal_of_a_large_factor_is_fast():
+    # prod_{a in F_q^*} (t1 - a t2) = t1^(q-1) - t2^(q-1), multiplied out in
+    # about q^2 coefficient steps
+    X = projective_torus(4001, 2)
+    start = time.perf_counter()
+    basis = X.vanishing_ideal().groebner_basis()
+    elapsed = time.perf_counter() - start
+    assert basis == [PolyRing(PrimeField(4001), 2).parse("t1^4000 - t2^4000")]
+    assert elapsed < 0.3, f"torus ideal over F_4001 took {elapsed:.2f} s"
+
+
 def grid_point_sets():
     """The tori with q <= 7, s <= 4 and at most 64 points, then 30 seeded
     random Cartesian sets with q <= 7, s <= 4 and at most 64 points."""
@@ -300,32 +311,39 @@ def test_vanishing_ideal_matches_buchberger_oracle():
 
 @pytest.mark.parametrize("order", sorted(ORDERS))
 def test_vanishing_ideal_border_is_the_degree_slice(monkeypatch, order):
-    # each degree's candidate columns, built as products t_i m of the last
-    # degree's standard monomials, are the degree-d monomials outside the
-    # leading monomials of lower degree, and each names its factor m, t_i
-    borders, original = [], points._border
+    # each degree's columns are the degree-d monomials that no leading
+    # monomial of lower degree divides, and each column's evaluation row,
+    # built as a row of the last degree times a coordinate, is its own
+    walks, matrices = [], []
 
-    def recorded(standard):
-        border = original(standard)
-        borders.append((standard, border))
-        return border
+    def walked(nvars, d, avoid):
+        columns = monomials_of_degree(nvars, d, avoid)
+        walks.append(columns)
+        return columns
 
-    monkeypatch.setattr(points, "_border", recorded)
+    def reduced(A, q):
+        matrices.append(A.copy())
+        return rref(A, q)
+
+    monkeypatch.setattr(points, "monomials_of_degree", walked)
+    monkeypatch.setattr(points, "rref", reduced)
     rng = random.Random(sorted(ORDERS).index(order))
     for _ in range(25):
         q = rng.choice([2, 3, 5, 7])
         s = rng.choice([2, 3, 4])
         n = rng.randrange(1, min(24, len(all_projective_points(q, s))) + 1)
         X = random_point_set(rng, q, s, n)
-        borders.clear()
+        walks.clear()
+        matrices.clear()
         ideal = points.vanishing_ideal(X, ORDERS[order])
         leads = [g.leading_monomial(ORDERS[order]) for g in ideal.groebner_basis()]
-        assert borders
-        for d, (standard, border) in enumerate(borders, start=1):
-            lower = MonomialIdeal(s, [m for m in leads if sum(m) < d])
-            assert sorted(border) == lower.degree_slice(d), (X, order, d)
-            for u, (k, i) in border.items():
-                assert tuple(e + (j == i) for j, e in enumerate(standard[k])) == u
+        ring = PolyRing(q, s)
+        assert walks and len(walks) == len(matrices)
+        for d, (columns, A) in enumerate(zip(walks, matrices)):
+            lower = [g for g in leads if sum(g) < d]
+            want = [m for m in ring.monomials_of_degree(d) if not any(divides(g, m) for g in lower)]
+            assert columns == want, (X, order, d)
+            assert (A.T == evaluation_matrix(X, ORDERS[order].sorted(columns))).all()
 
 
 def test_sixty_points_in_p3_over_f5_are_fast():
